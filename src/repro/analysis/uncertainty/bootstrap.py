@@ -20,13 +20,16 @@ execution is order-independent by construction.
 """
 
 import hashlib
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from repro.analysis.uncertainty.distribution import (
     EnergyDistribution,
     OnlineStats,
 )
-from repro.core.experiment import Experiment
+from repro.core.experiment import Experiment, measurement_streams
 from repro.core.simulation import (
     MeasurementConfig,
     SimulationArtifact,
@@ -34,7 +37,9 @@ from repro.core.simulation import (
 )
 from repro.errors import ConfigurationError
 from repro.jvm.components import Component
+from repro.measurement.daq import DAQ
 from repro.measurement.noise import DEFAULT_NOISE, NoiseConfig
+from repro.measurement.prepared import PreparedTarget, Workspace
 
 #: Version of the replicate-seed derivation.  Bump when the derivation
 #: changes incompatibly; reports record the version that produced them.
@@ -220,25 +225,44 @@ class BootstrapEngine:
         :class:`~repro.core.experiment.ExperimentResult` to hang the
         report on (its ``uncertainty`` field), keeping the noise-free
         point estimate and the distribution side by side.
+
+        Everything that does not change between replicates — the
+        artifact check, the restored timeline, ground truth, the
+        prepared sampling target — is built once per call.  Each
+        replicate is then just the DAQ pass and its energy sums, on a
+        thread pool; the report reads nothing of the HPM trace or the
+        full decomposition, so replicates skip them (the HPM's noise
+        draws follow the DAQ's on the stream, so skipping them moves
+        no DAQ byte).  Results are folded into the accumulators in
+        replicate order, so the report does not depend on the pool.
         """
         if not isinstance(sim, (SimulationResult, SimulationArtifact)):
             raise ConfigurationError(
                 "run() takes a SimulationResult or SimulationArtifact, "
                 f"got {type(sim).__name__}"
             )
-        truth = self._ground_truth(sim)
+        experiment = Experiment(self.config, obs=self.obs)
+        obs = experiment.bound_obs()
+        if isinstance(sim, SimulationArtifact):
+            experiment.check_artifact(sim)
+            timeline = sim.timeline()
+        else:
+            timeline = sim.run.timeline
+        truth = _ground_truth(timeline)
+        target = sim.measurement_target()
+        prepared = PreparedTarget(timeline, target.port)
+        with obs.tracer.wall_span("bootstrap", replicates=self.replicates):
+            measured = self._replicate_energies(prepared, target, obs)
         totals = {
             "cpu_energy_j": OnlineStats(),
             "mem_energy_j": OnlineStats(),
             "total_energy_j": OnlineStats(),
         }
         components = {}
-        for i in range(self.replicates):
-            result = self.measure_replicate(sim, i)
-            totals["cpu_energy_j"].add(result.cpu_energy_j)
-            totals["mem_energy_j"].add(result.mem_energy_j)
-            totals["total_energy_j"].add(result.total_energy_j)
-            per_comp = result.breakdown.cpu_energy_j
+        for i, (cpu, mem, per_comp) in enumerate(measured):
+            totals["cpu_energy_j"].add(cpu)
+            totals["mem_energy_j"].add(mem)
+            totals["total_energy_j"].add(cpu + mem)
             for cid, energy in per_comp.items():
                 label = _component_label(cid)
                 stats = components.get(label)
@@ -279,27 +303,61 @@ class BootstrapEngine:
             attach_to.uncertainty = report
         return report
 
-    @staticmethod
-    def _ground_truth(sim):
-        """Exact energies from the recorded timeline."""
-        if isinstance(sim, SimulationArtifact):
-            timeline = sim.timeline()
-        else:
-            timeline = sim.run.timeline
-        cpu = timeline.cpu_energy_j()
-        mem = timeline.mem_energy_j()
-        per_comp = timeline.component_cpu_energy_j()
-        return {
-            "totals": {
-                "cpu_energy_j": float(cpu),
-                "mem_energy_j": float(mem),
-                "total_energy_j": float(cpu + mem),
-            },
-            "components": {
-                _component_label(cid): float(e)
-                for cid, e in per_comp.items()
-            },
-        }
+    def _replicate_energies(self, prepared, target, obs):
+        """``[(cpu J, mem J, {cid: cpu J})]`` per replicate, in index
+        order.
+
+        Each thread reuses one :class:`Workspace` for all its
+        replicates.  The instruments of an observed run (``obs``
+        enabled) are lock-free, so its replicates run on one thread.
+        """
+        local = threading.local()
+
+        def measure(index):
+            work = getattr(local, "work", None)
+            if work is None:
+                work = local.work = Workspace()
+            m = self.replicate_measurement(index)
+            rng, noise = measurement_streams(m.measurement_seed, m.noise)
+            power = DAQ(
+                target, rng, sample_period_s=m.daq_period_s, obs=obs,
+                noise=noise,
+            ).acquire(prepared, work=work)
+            return (power.cpu_energy_j(), power.mem_energy_j(),
+                    power.component_cpu_energy_j())
+
+        workers = 1 if obs.enabled else _pool_size(self.replicates)
+        if workers == 1:
+            return [measure(i) for i in range(self.replicates)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(measure, range(self.replicates)))
+
+
+def _pool_size(replicates):
+    """Replicate threads: one per CPU this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(replicates, cpus))
+
+
+def _ground_truth(timeline):
+    """Exact energies from the recorded timeline."""
+    cpu = timeline.cpu_energy_j()
+    mem = timeline.mem_energy_j()
+    per_comp = timeline.component_cpu_energy_j()
+    return {
+        "totals": {
+            "cpu_energy_j": float(cpu),
+            "mem_energy_j": float(mem),
+            "total_energy_j": float(cpu + mem),
+        },
+        "components": {
+            _component_label(cid): float(e)
+            for cid, e in per_comp.items()
+        },
+    }
 
 
 def bootstrap_uncertainty(config, sim, noise=DEFAULT_NOISE,

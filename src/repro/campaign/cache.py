@@ -124,7 +124,7 @@ def prune_lru(root, max_bytes, suffixes=ENTRY_SUFFIXES):
     return n_removed, bytes_removed
 
 #: Bump when cached payloads become incompatible with current code.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Environment variable overriding the default cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -36,6 +36,7 @@ from repro.measurement.multiplexing import (
     resolve_rotation,
 )
 from repro.measurement.noise import NOISE_SEED_OFFSET, NoiseModel
+from repro.measurement.prepared import PreparedTarget
 from repro.obs import NULL_OBS
 from repro.units import DAQ_SAMPLE_PERIOD_S
 
@@ -209,7 +210,8 @@ class Experiment:
         self.config = config
         self.obs = obs if obs is not None else NULL_OBS
 
-    def _bound_obs(self):
+    def bound_obs(self):
+        """The observability bundle, bound to this cell's identity."""
         obs = self.obs
         if obs.enabled:
             cfg = self.config
@@ -227,7 +229,7 @@ class Experiment:
         ``artifact()`` snapshot can be stored and measured later (or
         elsewhere)."""
         cfg = self.config
-        obs = self._bound_obs()
+        obs = self.bound_obs()
         with obs.tracer.wall_span("simulate", benchmark=cfg.benchmark,
                                   vm=cfg.vm, platform=cfg.platform,
                                   seed=cfg.seed):
@@ -247,7 +249,7 @@ class Experiment:
         hook that lets one artifact fan out into a whole
         accuracy-vs-overhead frontier.
         """
-        obs = self._bound_obs()
+        obs = self.bound_obs()
         with obs.tracer.wall_span("measure",
                                   benchmark=self.config.benchmark,
                                   vm=self.config.vm,
@@ -260,7 +262,7 @@ class Experiment:
     def run(self):
         """Execute the experiment; returns an :class:`ExperimentResult`."""
         cfg = self.config
-        obs = self._bound_obs()
+        obs = self.bound_obs()
         tracer = obs.tracer
         obs.log.info("experiment.start", collector=cfg.collector,
                      heap_mb=cfg.heap_mb)
@@ -295,7 +297,7 @@ class Experiment:
         """
         cfg = self.config
         if isinstance(sim, SimulationArtifact):
-            self._check_artifact(sim)
+            self.check_artifact(sim)
             run = sim.run_result()
             target = sim.measurement_target()
         elif isinstance(sim, SimulationResult):
@@ -329,18 +331,16 @@ class Experiment:
             if measurement.measurement_seed is not None:
                 base_seed = measurement.measurement_seed
             noise_cfg = measurement.noise
-        noise = None
-        if noise_cfg is not None and noise_cfg.enabled:
-            noise = NoiseModel.for_seed(
-                noise_cfg, base_seed + NOISE_SEED_OFFSET
-            )
+        measurement_rng, noise = measurement_streams(base_seed, noise_cfg)
         tracer = obs.tracer
-        measurement_rng = np.random.default_rng(base_seed + 7919)
+        # Both samplers look the same instants up in one prepared view
+        # of the recording.
+        prepared = PreparedTarget(run.timeline, target.port)
         with tracer.wall_span("daq-acquire"):
             daq = DAQ(target, measurement_rng,
                       sample_period_s=daq_period_s, obs=obs,
                       noise=noise)
-            power = daq.acquire(run.timeline, port=target.port)
+            power = daq.acquire(prepared)
         with tracer.wall_span("hpm-sample"):
             if rotation:
                 # A noisy replicate draws its multiplexing phase
@@ -359,7 +359,7 @@ class Experiment:
                 sampler = HPMSampler(
                     target, period_s=hpm_period_s, obs=obs, noise=noise
                 )
-            perf = sampler.sample(run.timeline, port=target.port)
+            perf = sampler.sample(prepared)
         with tracer.wall_span("decompose"):
             breakdown = decompose(power, cfg.vm)
         return ExperimentResult(
@@ -370,7 +370,7 @@ class Experiment:
             breakdown=breakdown,
         )
 
-    def _check_artifact(self, artifact):
+    def check_artifact(self, artifact):
         """Refuse to measure an artifact recorded for a different
         simulation identity — silently wrong numbers are worse than a
         loud re-simulation."""
@@ -384,6 +384,16 @@ class Experiment:
                 f"(benchmark {artifact.benchmark!r} on "
                 f"{artifact.vm_name}/{artifact.platform_name})"
             )
+
+
+def measurement_streams(seed, noise_config=None):
+    """``(measurement RNG, noise model or None)`` of one measurement
+    seed: the sense channels draw from ``default_rng(seed + 7919)``,
+    the noise model from ``seed + NOISE_SEED_OFFSET``."""
+    noise = None
+    if noise_config is not None and noise_config.enabled:
+        noise = NoiseModel.for_seed(noise_config, seed + NOISE_SEED_OFFSET)
+    return np.random.default_rng(seed + 7919), noise
 
 
 def run_experiment(benchmark, obs=None, **kwargs):

@@ -23,10 +23,15 @@ quantifies against ground truth.
 import numpy as np
 
 from repro.errors import MeasurementError
+from repro.measurement.prepared import Workspace, prepare
 from repro.measurement.sense import channels_for
 from repro.measurement.traces import PowerTrace
 from repro.obs import NULL_OBS
 from repro.units import DAQ_SAMPLE_PERIOD_S
+
+
+#: Samples looked up per block in :meth:`DAQ.acquire`.
+_BLOCK = 16384
 
 
 class DAQ:
@@ -51,104 +56,65 @@ class DAQ:
             platform.name, rng, adc=adc
         )
 
-    def acquire(self, timeline, port=None):
+    def acquire(self, source, port=None, work=None):
         """Acquire a :class:`PowerTrace` over a completed run.
 
-        ``port`` defaults to the platform's component-ID port (whose latch
-        history the VM populated during the run).
+        *source* is the run's timeline, or a
+        :class:`~repro.measurement.prepared.PreparedTarget` built once
+        for many passes.  ``port`` (timeline sources only) defaults to
+        the platform's component-ID port, whose latch history the VM
+        populated during the run.  With a
+        :class:`~repro.measurement.prepared.Workspace` as *work*, the
+        trace's channel and component arrays live in its buffers, valid
+        until the workspace's next pass.
         """
         if port is None:
             port = self.platform.port
-        arrays = timeline.to_arrays()
-        duration = float(arrays.ends_s[-1])
+        target = prepare(source, port)
+        work = Workspace() if work is None else work
         period = self.sample_period_s
-        # Count full windows with a *relative* tolerance: the duration is
-        # a cumulative float sum, so a run of exactly N periods can land
-        # within a few ulps below N * period.  A fixed absolute epsilon
-        # only covers that near N == 1 and rejected runs a hair under
-        # one period outright.
-        ratio = duration / period
-        n_full = int(ratio * (1.0 + 1e-9) + 1e-9)
-        if n_full < 1:
-            raise MeasurementError(
-                "run shorter than one DAQ sample period"
-            )
-        # Cover the whole run: full windows plus, when the duration is
-        # not an exact multiple of the period, one final partial window
-        # weighted by its actual width.  Without it up to a full sample
-        # window of tail energy is silently discarded.
-        # When the count rounded *up* (duration a few ulps under a whole
-        # number of periods) the tail comes out slightly negative; treat
-        # it as zero rather than emitting a partial window.
-        tail_s = duration - n_full * period
-        if tail_s <= 1e-6 * period:
-            tail_s = 0.0
-        n = n_full + (1 if tail_s else 0)
-        window_s = np.full(n, period, dtype=np.float64)
-        if tail_s:
-            window_s[-1] = tail_s
-        times = np.cumsum(window_s) - 0.5 * window_s
+        duration = target.duration_s
+        times, window_s, tail_s = target.memo(
+            ("daq-clock", period), lambda: _sample_clock(duration, period)
+        )
+        n = len(times)
         # The instants the DAQ *actually* reads the timeline at: with a
         # noise model attached these carry the sample clock's jitter,
         # while the trace keeps nominal timestamps — the real instrument
         # reports its own clock, not its true fire times.
+        noise_draw = work.buffer("daq.noise", n)
         if self.noise is not None:
             read_times = self.noise.daq_sample_times(
-                times, period, duration
+                times, period, duration, out=noise_draw
             )
         else:
             read_times = times
 
-        # Locate each sample's segment.
-        seg = np.searchsorted(arrays.ends_s, read_times, side="right")
-        seg = np.minimum(seg, len(arrays.ends_s) - 1)
-
-        true_cpu = arrays.cpu_power[seg]
-        true_mem = arrays.mem_power[seg]
-        cpu = self.cpu_channel.measure(true_cpu)
-        mem = self.mem_channel.measure(true_mem)
-
-        # Map sample instants to cycle counts (linear within a segment)
-        # and read the latched component ID at each.
-        seg_span_s = arrays.ends_s[seg] - arrays.starts_s[seg]
-        seg_span_c = (
-            arrays.end_cycles[seg] - arrays.start_cycles[seg]
-        ).astype(np.float64)
-        frac = np.where(
-            seg_span_s > 0,
-            (read_times - arrays.starts_s[seg]) / np.where(
-                seg_span_s > 0, seg_span_s, 1.0
-            ),
-            0.0,
-        )
-        cycles = (
-            arrays.start_cycles[seg].astype(np.float64)
-            + frac * seg_span_c
-        ).astype(np.int64)
-        port_cycles, port_values = port.history_arrays()
-        # Samples taken before the first latch update belong to the
-        # port's power-on/idle value, not to whichever component happened
-        # to be latched first.  A port with an *empty* history (no
-        # power-on latch recorded at all — replayed traces, external
-        # port sources) attributes every sample to idle: the gather
-        # below is evaluated eagerly even where ``np.where`` would pick
-        # the idle branch, so indexing an empty history would raise.
-        idle = np.int16(getattr(port, "idle_value", 0))
-        if len(port_values) == 0:
-            idx = np.full(n, -1, dtype=np.int64)
-            component = np.full(n, idle, dtype=np.int16)
-        else:
-            idx = np.searchsorted(port_cycles, cycles, side="right") - 1
-            component = np.where(
-                idx >= 0, port_values[np.maximum(idx, 0)], idle
-            ).astype(np.int16)
+        # Look the instants up block by block: the lookup is per sample,
+        # so blocking changes no value, and keeps its temporaries small.
+        cpu = work.buffer("daq.cpu_w", n)
+        mem = work.buffer("daq.mem_w", n)
+        component = work.buffer("daq.component", n, np.int16)
+        pre_latch = 0
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            seg, _, cycles, component[lo:hi] = target.observe(
+                read_times[lo:hi], work=work
+            )
+            target.arrays.cpu_power.take(seg, mode="clip", out=cpu[lo:hi])
+            target.arrays.mem_power.take(seg, mode="clip", out=mem[lo:hi])
+            if self.obs.metrics.enabled:
+                pre_latch += target.pre_latch(cycles)
+        # The read instants are consumed, so the channels' noise draws
+        # reuse their buffer; each reading overwrites its true power.
+        self.cpu_channel.measure(cpu, out=cpu, scratch=noise_draw)
+        self.mem_channel.measure(mem, out=mem, scratch=noise_draw)
 
         metrics = self.obs.metrics
         if metrics.enabled:
-            attributed = int((idx >= 0).sum())
             metrics.counter("daq.samples").inc(n)
-            metrics.counter("daq.samples_attributed").inc(attributed)
-            metrics.counter("daq.samples_pre_latch").inc(n - attributed)
+            metrics.counter("daq.samples_attributed").inc(n - pre_latch)
+            metrics.counter("daq.samples_pre_latch").inc(pre_latch)
             if tail_s:
                 metrics.counter("daq.partial_tail_windows").inc()
         self.obs.log.debug(
@@ -165,3 +131,38 @@ class DAQ:
             sample_period_s=self.sample_period_s,
             window_s=window_s,
         )
+
+
+def _sample_clock(duration, period):
+    """``(times, window_s, tail_s)`` of the DAQ's nominal sample clock
+    over a run of *duration* seconds; the arrays are read-only, since
+    every trace acquired at this period shares them."""
+    # Count full windows with a *relative* tolerance: the duration is
+    # a cumulative float sum, so a run of exactly N periods can land
+    # within a few ulps below N * period.  A fixed absolute epsilon
+    # only covers that near N == 1 and rejected runs a hair under
+    # one period outright.
+    ratio = duration / period
+    n_full = int(ratio * (1.0 + 1e-9) + 1e-9)
+    if n_full < 1:
+        raise MeasurementError(
+            "run shorter than one DAQ sample period"
+        )
+    # Cover the whole run: full windows plus, when the duration is
+    # not an exact multiple of the period, one final partial window
+    # weighted by its actual width.  Without it up to a full sample
+    # window of tail energy is silently discarded.
+    # When the count rounded *up* (duration a few ulps under a whole
+    # number of periods) the tail comes out slightly negative; treat
+    # it as zero rather than emitting a partial window.
+    tail_s = duration - n_full * period
+    if tail_s <= 1e-6 * period:
+        tail_s = 0.0
+    n = n_full + (1 if tail_s else 0)
+    window_s = np.full(n, period, dtype=np.float64)
+    if tail_s:
+        window_s[-1] = tail_s
+    times = np.cumsum(window_s) - 0.5 * window_s
+    times.flags.writeable = False
+    window_s.flags.writeable = False
+    return times, window_s, tail_s

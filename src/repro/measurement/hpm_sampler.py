@@ -18,6 +18,7 @@ shorter than the timer period.
 import numpy as np
 
 from repro.errors import MeasurementError
+from repro.measurement.prepared import prepare
 from repro.measurement.traces import PerfTrace
 from repro.obs import NULL_OBS
 
@@ -36,12 +37,16 @@ class HPMSampler:
         if self.period_s <= 0:
             raise MeasurementError("HPM period must be positive")
 
-    def sample(self, timeline, port=None):
-        """Produce a :class:`PerfTrace` for a completed run."""
+    def sample(self, source, port=None):
+        """Produce a :class:`PerfTrace` for a completed run.
+
+        *source* and ``port`` are as for
+        :meth:`repro.measurement.daq.DAQ.acquire`.
+        """
         if port is None:
             port = self.platform.port
-        arrays = timeline.to_arrays()
-        duration = float(arrays.ends_s[-1])
+        target = prepare(source, port)
+        duration = target.duration_s
         # Same relative tolerance as the DAQ: a run of N periods whose
         # float duration lands ulps below N * period still yields N
         # ticks instead of rejecting (N == 1) or dropping the last one.
@@ -56,53 +61,21 @@ class HPMSampler:
                 ticks, self.period_s, duration
             )
 
-        seg = np.searchsorted(arrays.ends_s, ticks, side="right")
-        seg = np.minimum(seg, len(arrays.ends_s) - 1)
-        span_s = arrays.ends_s[seg] - arrays.starts_s[seg]
-        frac = np.where(
-            span_s > 0,
-            (ticks - arrays.starts_s[seg]) / np.where(span_s > 0,
-                                                      span_s, 1.0),
-            0.0,
-        )
-        frac = np.clip(frac, 0.0, 1.0)
-
-        # Cumulative counters at each tick (linear within segments).
-        cum = {}
-        for name in ("instructions", "l2_accesses", "l2_misses"):
-            per_seg = getattr(arrays, name).astype(np.float64)
-            ends = np.cumsum(per_seg)
-            starts = ends - per_seg
-            cum[name] = starts[seg] + frac * per_seg[seg]
-        seg_cycles = (
-            arrays.end_cycles - arrays.start_cycles
-        ).astype(np.float64)
-        cyc_ends = np.cumsum(seg_cycles)
-        cyc_starts = cyc_ends - seg_cycles
-        cum["cycles"] = cyc_starts[seg] + frac * seg_cycles[seg]
-
         # Component at each tick, from the port latch (the "system call"
-        # view the OS has).
-        cycles_at_tick = cum["cycles"].astype(np.int64)
-        port_cycles, port_values = port.history_arrays()
-        # Ticks before the first latch update see the port's idle value.
-        # Same guard as the DAQ: an empty latch history attributes every
-        # tick to idle instead of crashing on the eagerly-evaluated
-        # gather inside ``np.where``.
-        idle = np.int16(getattr(port, "idle_value", 0))
-        if len(port_values) == 0:
-            idx = np.full(n + 1, -1, dtype=np.int64)
-            component = np.full(n + 1, idle, dtype=np.int16)
-        else:
-            idx = np.searchsorted(port_cycles, cycles_at_tick,
-                                  side="right") - 1
-            component = np.where(
-                idx >= 0, port_values[np.maximum(idx, 0)], idle
-            ).astype(np.int16)
+        # view the OS has); ticks before the first latch update see the
+        # port's idle value.
+        seg, frac, cycles, component = target.observe(ticks, clip=True)
+        # Cumulative counters at each tick (linear within segments).
+        # Cycles count on the clock the latch history records, which
+        # for a VM run starts at cycle 0.
+        cum = {"cycles": cycles}
+        for name, (starts, per_seg) in target.counter_bases.items():
+            cum[name] = starts[seg] + frac * per_seg[seg]
 
         # Attribute each inter-tick delta to the component at the tick's
         # *end* (the handler sees who is running when the timer fires).
         comp_of_delta = component[1:]
+        deltas = {name: np.diff(values) for name, values in cum.items()}
         out = {
             "samples": {},
             "cycles": {},
@@ -114,7 +87,7 @@ class HPMSampler:
         if metrics.enabled:
             metrics.counter("hpm.samples").inc(n)
             metrics.counter("hpm.pre_latch_ticks").inc(
-                int((idx < 0).sum())
+                target.pre_latch(cycles)
             )
         for cid in np.unique(comp_of_delta):
             mask = comp_of_delta == cid
@@ -122,8 +95,7 @@ class HPMSampler:
             out["samples"][key] = int(mask.sum())
             for name in ("cycles", "instructions", "l2_accesses",
                          "l2_misses"):
-                deltas = np.diff(cum[name])
-                out[name][key] = float(deltas[mask].sum())
+                out[name][key] = float(deltas[name][mask].sum())
         return PerfTrace(
             sample_period_s=self.period_s,
             n_samples=n,

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import MeasurementError
 from repro.measurement.hpm_sampler import HPMSampler
+from repro.measurement.prepared import prepare
 from repro.measurement.traces import PerfTrace
 from repro.obs import NULL_OBS
 
@@ -142,14 +143,19 @@ class MultiplexedHPMSampler:
         self._rng = rng
         self.noise = noise
 
-    def sample(self, timeline, port=None):
-        """Sample *timeline*, rotating event groups between ticks."""
+    def sample(self, source, port=None):
+        """Sample *source* (a timeline or a prepared target, as for
+        :meth:`HPMSampler.sample`), rotating event groups between
+        ticks."""
+        if port is None:
+            port = self.platform.port
+        target = prepare(source, port)
         # The base sampler carries the observability handle so a
         # multiplexed run emits the same sampler spans and counters a
         # single-pass run does.
         base = HPMSampler(self.platform, period_s=self.period_s,
                           obs=self.obs, noise=self.noise)
-        full = base.sample(timeline, port)
+        full = base.sample(target)
         # Re-derive per-tick deltas so each tick can be assigned to the
         # group that was programmed during it.  We reuse the base
         # sampler's attribution by re-sampling at a granularity of one
@@ -169,7 +175,7 @@ class MultiplexedHPMSampler:
         rng = (
             self._rng
             if self._rng is not None
-            else np.random.default_rng(len(timeline))
+            else np.random.default_rng(target.n_segments)
         )
         # Visibility mask per tick: tick i observes rotation[i % n].
         # Approximate per-component scaling: each component's deltas

@@ -125,11 +125,15 @@ class ADCQuantizer:
         """One least-significant-bit step over the ±range_v span."""
         return 2.0 * self.range_v / (2 ** self.bits)
 
-    def quantize(self, vdrop_v):
-        """Saturate at full scale, snap to the nearest code."""
+    def quantize(self, vdrop_v, out=None):
+        """Saturate at full scale, snap to the nearest code (into
+        *out* when given, which may be *vdrop_v* itself)."""
         lsb = self.lsb_v
-        clipped = np.clip(vdrop_v, -self.range_v, self.range_v)
-        return np.round(clipped / lsb) * lsb
+        codes = np.clip(vdrop_v, -self.range_v, self.range_v, out=out)
+        codes /= lsb
+        codes = np.round(codes, out=out)
+        codes *= lsb
+        return codes
 
 
 class NoiseModel:
@@ -168,20 +172,25 @@ class NoiseModel:
 
     # -- DAQ sample clock ----------------------------------------------
 
-    def daq_sample_times(self, times_s, period_s, duration_s):
+    def daq_sample_times(self, times_s, period_s, duration_s, out=None):
         """Displace nominal sample instants by clock jitter.
 
-        Returns the instants the DAQ *actually* reads the timeline at;
-        the trace keeps nominal timestamps (the instrument believes its
-        own clock).  Jittered instants are clipped to the run so no
-        sample falls off either end.
+        Returns the instants the DAQ *actually* reads the timeline at
+        (written into *out* when given); the trace keeps nominal
+        timestamps (the instrument believes its own clock).  Jittered
+        instants are clipped to the run so no sample falls off either
+        end.
         """
         frac = self.config.daq_jitter_frac
         if frac <= 0:
             return times_s
-        jitter = self.rng.normal(0.0, frac * period_s,
-                                 size=times_s.shape)
-        return np.clip(times_s + jitter, 0.0, duration_s)
+        # ``normal(0, sigma)`` draws sigma * z from the same stream.
+        jitter = self.rng.standard_normal(
+            out=np.empty_like(times_s) if out is None else out
+        )
+        jitter *= frac * period_s
+        jitter += times_s
+        return np.clip(jitter, 0.0, duration_s, out=jitter)
 
     # -- HPM timer ------------------------------------------------------
 

@@ -63,7 +63,7 @@ class SenseChannel:
             + float(rng.uniform(-resistor.tolerance, resistor.tolerance))
         )
 
-    def measure(self, true_power_w):
+    def measure(self, true_power_w, out=None, scratch=None):
         """Read back the power for an array of true power draws.
 
         The physical chain: true current I = P/V flows through the actual
@@ -78,17 +78,29 @@ class SenseChannel:
         energy bias.  Clamping is a presentation concern, applied only
         when a trace is exported (see
         :attr:`~repro.measurement.traces.PowerTrace.cpu_power_export_w`).
+
+        ``out`` receives the reading (it may be *true_power_w* itself)
+        and ``scratch`` the noise draw; both are new arrays when
+        ``None``.
         """
         true_power_w = np.asarray(true_power_w, dtype=np.float64)
-        current_a = true_power_w / self.rail_voltage_v
-        vdrop = current_a * self._actual_r
-        vdrop_read = vdrop + self.rng.normal(
-            0.0, self.vdrop_noise_v, size=true_power_w.shape
-        )
+        shape = true_power_w.shape
+        reading = np.empty(shape) if out is None else out
+        noise = np.empty(shape) if scratch is None else scratch
+        # The current through the actual resistance gives the drop ...
+        np.divide(true_power_w, self.rail_voltage_v, out=reading)
+        reading *= self._actual_r
+        # ... read with additive noise (``normal(0, sigma)`` draws
+        # sigma * z from the same stream) ...
+        self.rng.standard_normal(out=noise)
+        noise *= self.vdrop_noise_v
+        reading += noise
         if self.adc is not None:
-            vdrop_read = self.adc.quantize(vdrop_read)
-        current_est = vdrop_read / self.resistor.resistance_ohm
-        return self.rail_voltage_v * current_est
+            self.adc.quantize(reading, out=reading)
+        # ... and power is reconstructed with the nominal resistance.
+        reading /= self.resistor.resistance_ohm
+        reading *= self.rail_voltage_v
+        return reading
 
     @property
     def noise_floor_w(self):

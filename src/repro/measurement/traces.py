@@ -11,11 +11,14 @@ per-component energy, average and peak power, execution-time shares, and
 per-component microarchitectural rates (IPC, L2 miss rate).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import MeasurementError
+
+#: Samples per block of the two-level per-component sums.
+_SUM_BLOCK = 1024
 
 
 @dataclass
@@ -34,6 +37,9 @@ class PowerTrace:
     component: np.ndarray
     sample_period_s: float
     window_s: np.ndarray = None
+    #: Per-component aggregates, computed on first use.
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if len(self.times_s) == 0:
@@ -76,52 +82,108 @@ class PowerTrace:
 
     def components_present(self):
         """Distinct component IDs observed in the trace."""
-        return sorted(int(c) for c in np.unique(self.component))
+        return list(self._groups()[3])
+
+    # -- per-component aggregation -------------------------------------
+    #
+    # Every per-component figure is one pass over the samples (a
+    # ``bincount`` or ``maximum.at`` keyed by component), cached on the
+    # trace, and every sum is a fixed-order NumPy reduction rather than
+    # ``np.dot``: BLAS picks its dot kernel from the CPU at run time, so
+    # its rounding (and the measured joules' last bits) would depend on
+    # the machine.
+
+    def _cached(self, key, build):
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
+
+    def _groups(self):
+        """``(ids, shape, present, cids, counts)`` of the per-component
+        sums.
+
+        Sample *i* of component *c* lands in cell ``(i // _SUM_BLOCK,
+        c - low)`` of a ``shape = (blocks, components)`` table whose
+        flat index is ``ids[i]``.  One ``bincount`` then sums each
+        component within each block, and :meth:`_per_component` adds
+        the blocks pairwise: the rounding error grows with the block
+        length, not with the trace length as one running sum's would.
+        ``present`` are the non-empty component columns, ``cids`` their
+        IDs and ``counts`` their sample counts.
+        """
+        def build():
+            comp = self.component
+            low = min(int(comp.min()), 0)
+            width = int(comp.max()) - low + 1
+            blocks = -(-len(comp) // _SUM_BLOCK)
+            ids = np.repeat(
+                np.arange(0, blocks * width, width, dtype=np.intp),
+                _SUM_BLOCK,
+            )[:len(comp)]
+            ids += comp
+            ids -= low
+            counts = np.bincount(ids, minlength=blocks * width)
+            counts = counts.reshape(blocks, width).sum(axis=0)
+            present = np.flatnonzero(counts)
+            return (ids, (blocks, width), present,
+                    (present + low).tolist(), counts[present])
+        return self._cached("groups", build)
+
+    def _per_component(self, key, values):
+        """``{cid: sum of values() over its samples}``, cached as
+        *key*."""
+        def build():
+            ids, shape, present, cids, _ = self._groups()
+            table = np.bincount(
+                ids, weights=values(), minlength=shape[0] * shape[1]
+            ).reshape(shape)
+            sums = np.add.reduce(np.ascontiguousarray(table.T), axis=1)
+            return dict(zip(cids, sums[present].tolist()))
+        return dict(self._cached(key, build))
 
     # -- energy ------------------------------------------------------
 
     def cpu_energy_j(self):
         """Total measured CPU energy (sum of P * dt)."""
-        return float(np.dot(self.cpu_power_w, self.window_s))
+        return self._cached("cpu_j", lambda: float(
+            np.add.reduce(self.cpu_power_w * self.window_s)))
 
     def mem_energy_j(self):
         """Total measured memory energy."""
-        return float(np.dot(self.mem_power_w, self.window_s))
+        return self._cached("mem_j", lambda: float(
+            np.add.reduce(self.mem_power_w * self.window_s)))
 
     def component_cpu_energy_j(self):
         """Measured CPU energy attributed to each component ID."""
-        return self._component_sum(self.cpu_power_w)
+        return self._per_component(
+            "cpu_j_by_component", lambda: self.cpu_power_w * self.window_s
+        )
 
     def component_mem_energy_j(self):
         """Measured memory energy attributed to each component ID."""
-        return self._component_sum(self.mem_power_w)
-
-    def _component_sum(self, values):
-        out = {}
-        for cid in np.unique(self.component):
-            mask = self.component == cid
-            out[int(cid)] = float(
-                np.dot(values[mask], self.window_s[mask])
-            )
-        return out
+        return self._per_component(
+            "mem_j_by_component", lambda: self.mem_power_w * self.window_s
+        )
 
     # -- power -----------------------------------------------------------
 
     def component_avg_power_w(self):
         """Average CPU power per component (mean over its samples)."""
-        out = {}
-        for cid in np.unique(self.component):
-            mask = self.component == cid
-            out[int(cid)] = float(self.cpu_power_w[mask].mean())
-        return out
+        sums = self._per_component("cpu_w_by_component",
+                                   lambda: self.cpu_power_w)
+        _, _, _, cids, counts = self._groups()
+        return {cid: sums[cid] / int(n) for cid, n in zip(cids, counts)}
 
     def component_peak_power_w(self):
         """Peak CPU power per component (max over its samples)."""
-        out = {}
-        for cid in np.unique(self.component):
-            mask = self.component == cid
-            out[int(cid)] = float(self.cpu_power_w[mask].max())
-        return out
+        def build():
+            ids, shape, present, cids, _ = self._groups()
+            peaks = np.full(shape[0] * shape[1], -np.inf)
+            np.maximum.at(peaks, ids, self.cpu_power_w)
+            peaks = peaks.reshape(shape).max(axis=0)
+            return dict(zip(cids, peaks[present].tolist()))
+        return dict(self._cached("peak_w_by_component", build))
 
     def avg_power_w(self):
         return float(self.cpu_power_w.mean())
@@ -133,12 +195,7 @@ class PowerTrace:
 
     def component_seconds(self):
         """Wall time attributed to each component."""
-        out = {}
-        for cid in np.unique(self.component):
-            out[int(cid)] = float(
-                self.window_s[self.component == cid].sum()
-            )
-        return out
+        return self._per_component("s_by_component", lambda: self.window_s)
 
 
 @dataclass

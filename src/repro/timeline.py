@@ -371,12 +371,16 @@ class ExecutionTimeline:
     def cpu_energy_j(self):
         """Ground-truth total CPU energy over the timeline."""
         n = self._n
-        return float(np.dot(self._cpu_power[:n], self._duration[:n]))
+        return float(
+            np.add.reduce(self._cpu_power[:n] * self._duration[:n])
+        )
 
     def mem_energy_j(self):
         """Ground-truth total main-memory energy over the timeline."""
         n = self._n
-        return float(np.dot(self._mem_power[:n], self._duration[:n]))
+        return float(
+            np.add.reduce(self._mem_power[:n] * self._duration[:n])
+        )
 
     def component_cpu_energy_j(self):
         """Ground-truth CPU energy per component ID."""

@@ -17,14 +17,18 @@ Four contracts, in rough order of importance:
 """
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import repro.analysis.uncertainty.bootstrap as bootstrap_module
 from repro.analysis.uncertainty import (
     BootstrapEngine,
     NoiseConfig,
+    OnlineStats,
     REPLICATE_SEED_VERSION,
     bootstrap_uncertainty,
     derive_replicate_seed,
@@ -34,6 +38,8 @@ from repro.campaign.runner import run_campaign
 from repro.core.experiment import Experiment, ExperimentConfig
 from repro.errors import ConfigurationError
 from repro.export import format_with_ci, result_to_dict
+from repro.jvm.components import Component
+from repro.obs import Observability
 
 GOLDEN = Path(__file__).parent.parent / "golden" / \
     "pre_uncertainty_results.json"
@@ -162,6 +168,77 @@ class TestDeterminism:
             for i in range(8)
         }
         assert len(energies) > 1
+
+
+#: Cells whose reports must not depend on the replicate pool: both
+#: golden pins, and the P6 one under a multiplexed-HPM rotation.
+POOL_CELLS = {
+    pin: ExperimentConfig(**golden["config"])
+    for pin, golden in json.loads(GOLDEN.read_text()).items()
+}
+POOL_CELLS["p6_jikes_xscale_pairs"] = replace(
+    POOL_CELLS["p6_jikes"], hpm_rotation="xscale-pairs"
+)
+
+
+class TestReplicatePool:
+    @pytest.fixture(scope="class", params=sorted(POOL_CELLS))
+    def cell(self, request):
+        config = POOL_CELLS[request.param]
+        return config, Experiment(config).simulate().artifact()
+
+    def test_report_bytes_do_not_depend_on_pool_size(self, cell,
+                                                     monkeypatch):
+        config, artifact = cell
+        reports = set()
+        # Up to four threads, switching often, so that they interleave
+        # inside the shared prepared target even on a small machine.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for size in (1, 2, 4):
+                monkeypatch.setattr(bootstrap_module, "_pool_size",
+                                    lambda replicates, size=size: size)
+                report = bootstrap_uncertainty(config, artifact,
+                                               replicates=6)
+                reports.add(json.dumps(report.as_dict(), sort_keys=True))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(reports) == 1
+
+    def test_replicates_match_the_full_result_path(self, cell):
+        # The pool's energies, folded in index order, must be those of
+        # measure_replicate(i), the full ExperimentResult path.
+        config, artifact = cell
+        engine = BootstrapEngine(config, replicates=4)
+        report = engine.run(artifact)
+        results = [engine.measure_replicate(artifact, i)
+                   for i in range(4)]
+
+        def folded(values):
+            stats = OnlineStats()
+            for value in values:
+                stats.add(value)
+            return stats.mean, stats.stddev
+
+        for name, dist in report.totals.items():
+            assert (dist.mean, dist.stddev) == \
+                folded(getattr(r, name) for r in results)
+        for label, dist in report.components.items():
+            cid = int(Component[label])
+            assert (dist.mean, dist.stddev) == folded(
+                r.breakdown.cpu_energy_j.get(cid, 0.0) for r in results)
+
+    def test_observed_run_gives_the_same_report(self, cell):
+        # An observed run keeps its replicates on one thread.
+        config, artifact = cell
+        plain = bootstrap_uncertainty(config, artifact, replicates=4)
+        obs = Observability.create(trace=False)
+        observed = bootstrap_uncertainty(config, artifact, replicates=4,
+                                         obs=obs)
+        assert observed.as_dict() == plain.as_dict()
+        assert obs.metrics.counter("daq.samples").value == \
+            4 * Experiment(config).measure(artifact).power.n_samples
 
 
 class TestReportShape:

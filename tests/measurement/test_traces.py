@@ -1,5 +1,7 @@
 """Tests for trace containers and their aggregations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,62 @@ class TestPowerTrace:
         assert trace.mem_energy_j() == pytest.approx(
             150 * 0.5 * 40e-6
         )
+
+
+class TestOnePassAggregation:
+    """The one-pass per-component figures against a per-mask
+    reference: sums agree to a tolerance fixed by float64 rounding over
+    a few thousand terms, counts and peaks exactly."""
+
+    @pytest.fixture
+    def trace(self):
+        rng = np.random.default_rng(5)
+        n = 5000  # several summation blocks, one of them partial
+        # Negative and non-contiguous IDs: a glitching port can latch
+        # anything.
+        component = rng.choice(
+            np.array([-2, 0, 1, 4], dtype=np.int16), size=n
+        )
+        window = np.full(n, 40e-6)
+        window[-1] = 13e-6
+        return PowerTrace(
+            times_s=np.cumsum(window), cpu_power_w=rng.normal(14, 2, n),
+            mem_power_w=rng.normal(0.5, 0.1, n), component=component,
+            sample_period_s=40e-6, window_s=window,
+        )
+
+    def test_matches_per_component_masks(self, trace):
+        cids = sorted(int(c) for c in set(trace.component.tolist()))
+        assert trace.components_present() == cids
+        masks = {cid: trace.component == cid for cid in cids}
+        cpu_j = trace.cpu_power_w * trace.window_s
+        mem_j = trace.mem_power_w * trace.window_s
+        expected = {
+            "component_cpu_energy_j": {
+                c: math.fsum(cpu_j[m]) for c, m in masks.items()},
+            "component_mem_energy_j": {
+                c: math.fsum(mem_j[m]) for c, m in masks.items()},
+            "component_seconds": {
+                c: math.fsum(trace.window_s[m]) for c, m in masks.items()},
+            "component_avg_power_w": {
+                c: math.fsum(trace.cpu_power_w[m]) / m.sum()
+                for c, m in masks.items()},
+        }
+        for method, want in expected.items():
+            got = getattr(trace, method)()
+            assert list(got) == cids
+            for cid in cids:
+                assert got[cid] == pytest.approx(want[cid], rel=1e-13)
+        assert trace.component_peak_power_w() == {
+            c: float(trace.cpu_power_w[m].max()) for c, m in masks.items()
+        }
+        assert trace.cpu_energy_j() == pytest.approx(
+            math.fsum(cpu_j), rel=1e-13)
+
+    def test_results_are_fresh_copies(self, trace):
+        first = trace.component_cpu_energy_j()
+        first.clear()
+        assert trace.component_cpu_energy_j()
 
 
 class TestPerfTrace:
