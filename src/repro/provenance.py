@@ -37,8 +37,6 @@ without import cycles.
 
 import hashlib
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -118,24 +116,12 @@ def envelope_path(entry_path):
 
 def write_envelope(entry_path, envelope):
     """Atomically write *envelope* beside *entry_path*; returns the
-    sidecar path (tmp file + ``os.replace``, same protocol as the
-    entry writers — a crash never leaves a torn envelope)."""
-    path = envelope_path(entry_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(envelope, handle, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    sidecar path (the store core's atomic write — a crash never leaves
+    a torn envelope)."""
+    from repro.content_store import atomic_write
+
+    data = json.dumps(envelope, sort_keys=True).encode()
+    return atomic_write(envelope_path(entry_path), data)
 
 
 def read_envelope(entry_path):
@@ -183,23 +169,14 @@ def sweep_orphan_envelopes(root, max_age_s=3600.0):
     Pruned or evicted entries normally take their sidecar with them;
     this catches strays from crashed writers.  Age-gated so the window
     between an entry write and its envelope write is never raced.
-    Returns the number removed.
+    Returns the number removed.  This is the stores' orphan sweep
+    (:func:`repro.content_store.sweep_orphans`) limited to envelopes.
     """
-    root = Path(root)
-    if not root.exists():
-        return 0
-    cutoff = time.time() - max_age_s
-    removed = 0
-    for sidecar in root.rglob(f"*{ENVELOPE_SUFFIX}"):
-        entry = sidecar.with_name(sidecar.name[:-len(ENVELOPE_SUFFIX)])
-        try:
-            if entry.exists() or sidecar.stat().st_mtime > cutoff:
-                continue
-            sidecar.unlink()
-        except OSError:
-            continue
-        removed += 1
-    return removed
+    from repro.content_store import sweep_orphans
+
+    return sweep_orphans(root, max_age_s, patterns=(
+        f"*{ENVELOPE_SUFFIX}",
+    ))[0]
 
 
 # -- lineage queries ---------------------------------------------------
@@ -216,7 +193,7 @@ def lineage(root, suffixes=None):
     Envelope-less legacy entries group under ``code_digest=None`` and
     always count as stale (unknown provenance).
     """
-    from repro.campaign.cache import ENTRY_SUFFIXES, scan_entries
+    from repro.content_store import ENTRY_SUFFIXES, scan_entries
 
     groups = {}
     for path, size, mtime in scan_entries(
@@ -260,7 +237,7 @@ def prune_stale(root, suffixes=None):
     code (missing envelopes included — unknown provenance is stale).
     Sidecars go with their entries.  Returns ``(n_removed,
     bytes_removed)``."""
-    from repro.campaign.cache import ENTRY_SUFFIXES, scan_entries
+    from repro.content_store import ENTRY_SUFFIXES, scan_entries
 
     n_removed = 0
     bytes_removed = 0
@@ -433,7 +410,7 @@ def replay_store_entry(store, key, workers=1):
 def store_keys(store):
     """Every result key under *store*, sorted (scan is recursive, so
     sharded layouts enumerate the same way as flat ones)."""
-    from repro.campaign.cache import scan_entries
+    from repro.content_store import scan_entries
 
     return sorted(
         path.name[:-len(".json")]

@@ -47,6 +47,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro import __version__
 from repro.campaign.cache import ResultCache
 from repro.campaign.runner import CampaignRunner
+from repro.content_store import is_key
 from repro.errors import ConfigurationError, SpecValidationError
 from repro.obs import Observability
 from repro.obs.distributed import (
@@ -513,7 +514,8 @@ class ExperimentService:
             with self.jobs.lock:
                 service_spans = list(job.spans or ())
                 trace_id = job.trace_id
-        worker_spans = read_spool(self.results.trace_spool_for(job_id))
+        worker_spans = (read_spool(self.results.trace_spool_for(job_id))
+                        if is_key(job_id) else [])
         events = merge_job_trace(job_id, service_spans, worker_spans,
                                  trace_id=trace_id)
         return events or None

@@ -8,27 +8,19 @@ The serving layer keeps two kinds of state:
   ``queued -> running -> done | failed``; a failed job can be
   resubmitted, which resets it to ``queued`` and bumps ``attempts``.
 * :class:`ResultStore` — an on-disk, content-addressed map from spec
-  hash to the canonical JSON result payload.  Writes are atomic
-  (tmp file + ``os.replace``), reads touch the entry's mtime, and the
-  store prunes LRU with the same helper as the campaign cell cache —
-  a long-running service keeps both directories bounded.
+  hash to the canonical JSON result payload, in the same
+  :mod:`repro.content_store` format as the campaign cell cache — a
+  long-running service prunes both directories with one policy.
 
 Nothing here knows about HTTP; the server module builds on these.
 """
 
 import json
-import os
-import tempfile
 import threading
 import time
-from pathlib import Path
 
-from repro.campaign.cache import (
-    DEFAULT_ORPHAN_AGE_S,
-    prune_lru,
-    scan_entries,
-    sweep_orphans,
-)
+from repro.content_store import ContentStore, default_root, is_key
+from repro.provenance import read_envelope
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -46,10 +38,7 @@ RESULT_DIR_ENV = "REPRO_RESULT_DIR"
 def default_result_dir():
     """The result-store root: ``$REPRO_RESULT_DIR`` or
     ``~/.cache/repro/results``."""
-    env = os.environ.get(RESULT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro" / "results"
+    return default_root(RESULT_DIR_ENV, "results")
 
 
 class Job:
@@ -211,14 +200,14 @@ class JobStore:
             return len(self._jobs)
 
 
-class ResultStore:
+class ResultStore(ContentStore):
     """Content-addressed on-disk store of canonical result payloads.
 
     Keys are spec hashes (64 hex chars); values are the exact bytes
     served by ``GET /v1/results/{hash}``.  Entries are immutable once
     written — two writers racing on the same key write identical bytes
-    (the payload is a pure function of the spec), and ``os.replace``
-    makes the last one win atomically.
+    (the payload is a pure function of the spec), and the atomic rename
+    makes the last one win.
 
     **Shared namespace.**  N service instances (and their worker
     processes) may point at one root: writes are atomic, reads are
@@ -234,21 +223,19 @@ class ResultStore:
     """
 
     def __init__(self, root=None, shards=1):
-        self.root = Path(root) if root is not None else default_result_dir()
-        if int(shards) < 1:
-            raise ValueError("shards must be >= 1")
-        self.shards = int(shards)
+        super().__init__(
+            root if root is not None else default_result_dir(), ".json",
+            shards=shards,
+        )
 
-    def shard_for(self, key):
-        """The shard index for *key*: a consistent hash over the key's
-        leading hex digits, identical on every instance."""
-        return int(key[:8], 16) % self.shards
+    path_for = ContentStore.path_for_key
 
-    def path_for(self, key):
-        base = self.root
-        if self.shards > 1:
-            base = base / f"shard-{self.shard_for(key):03d}"
-        return base / key[:2] / f"{key}.json"
+    # Raw-bytes codec: the entry is exactly what the service serves.
+    def _encode(self, data):
+        return data
+
+    def _decode(self, data, key):
+        return data
 
     def lease_path_for(self, key):
         """The single-flight lease file guarding *key* — beside the
@@ -263,22 +250,10 @@ class ResultStore:
         sharing the store (:mod:`repro.obs.distributed`)."""
         return self.path_for(key).with_suffix(".spans")
 
-    def __contains__(self, key):
-        return self.path_for(key).exists()
-
     def get_bytes(self, key):
         """Stored payload bytes for *key*, or ``None``; touches the
         entry's mtime so LRU pruning sees reads as use."""
-        path = self.path_for(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        return data
+        return self.get_key(key)
 
     def get_json(self, key):
         """Decoded payload for *key*, or ``None``."""
@@ -296,95 +271,11 @@ class ResultStore:
         touching the payload bytes, so served results stay
         byte-identical with or without provenance.
         """
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        if envelope is not None:
-            from repro.provenance import write_envelope
-
-            write_envelope(path, envelope)
-        return path
+        return self.put_key(key, data, envelope)
 
     def envelope_for(self, key):
         """The provenance envelope beside *key*'s entry, or ``None``
         (legacy entries have none and still serve byte-identically)."""
-        from repro.provenance import read_envelope
-
+        if not is_key(key):
+            return None
         return read_envelope(self.path_for(key))
-
-    def prune_stale(self):
-        """Evict entries whose envelope does not match the running
-        code (missing envelopes included); returns ``(n_removed,
-        bytes_removed)``."""
-        from repro.provenance import prune_stale
-
-        return prune_stale(self.root, (".json",))
-
-    def lineage(self):
-        """Entries grouped by producing code digest / engine version
-        (see :func:`repro.provenance.lineage`)."""
-        from repro.provenance import lineage
-
-        return lineage(self.root, (".json",))
-
-    def __len__(self):
-        return len(scan_entries(self.root, (".json",)))
-
-    def total_bytes(self):
-        return sum(
-            size for _, size, _ in scan_entries(self.root, (".json",))
-        )
-
-    def stats(self):
-        entries = scan_entries(self.root, (".json",))
-        mtimes = [mtime for _, _, mtime in entries]
-        return {
-            "root": str(self.root),
-            "shards": self.shards,
-            "entries": len(entries),
-            "total_bytes": sum(size for _, size, _ in entries),
-            "oldest_mtime": min(mtimes) if mtimes else None,
-            "newest_mtime": max(mtimes) if mtimes else None,
-        }
-
-    def prune(self, max_bytes, orphan_age_s=DEFAULT_ORPHAN_AGE_S):
-        """LRU-evict until the store fits *max_bytes*; returns
-        ``(n_removed, bytes_removed)``.
-
-        Also sweeps aged-out orphans: ``.tmp`` files from crashed
-        writers and ``.lease`` files from crashed holders, both
-        age-gated so live writers and live leases are untouched, plus
-        aged ``.spans`` trace spools and ``.prov`` envelopes whose
-        result entry is gone (pruned, or never written because the job
-        failed) — recent sibling-less spools survive so failed jobs
-        stay debuggable.
-        """
-        from repro.provenance import sweep_orphan_envelopes
-
-        sweep_orphans(self.root, max_age_s=orphan_age_s,
-                      patterns=("*.tmp", "*.lease"))
-        removed = prune_lru(self.root, max_bytes, (".json",))
-        sweep_orphan_envelopes(self.root, max_age_s=orphan_age_s)
-        now = time.time()
-        for spool in self.root.rglob("*.spans"):
-            try:
-                if spool.with_suffix(".json").exists():
-                    continue
-                if now - spool.stat().st_mtime < orphan_age_s:
-                    continue
-                spool.unlink()
-            except OSError:
-                continue
-        return removed

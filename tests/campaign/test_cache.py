@@ -143,7 +143,7 @@ class TestOrphanHygiene:
         assert inflight.exists()
 
     def test_sweep_orphans_returns_accounting(self, tmp_path):
-        from repro.campaign.cache import sweep_orphans
+        from repro.content_store import sweep_orphans
 
         (tmp_path / "ab").mkdir()
         dead = tmp_path / "ab" / "dead.tmp"
@@ -154,7 +154,7 @@ class TestOrphanHygiene:
         assert sweep_orphans(tmp_path / "missing") == (0, 0)
 
     def test_scan_entries_recurses_sharded_layouts(self, tmp_path):
-        from repro.campaign.cache import scan_entries
+        from repro.content_store import scan_entries
 
         deep = tmp_path / "shard-003" / "ab"
         deep.mkdir(parents=True)

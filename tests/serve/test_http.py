@@ -261,3 +261,61 @@ class TestProvenanceOverHttp:
         assert body == b'{"legacy": true}'
         assert headers.get("X-Repro-Code-Digest") is None
         assert headers.get("X-Repro-Version") is None
+
+
+class TestMalformedKeys:
+    """Path segments that are not store keys must never reach the
+    filesystem: a ``..`` key once served (and touched) a file outside
+    the store root, and on a sharded store a non-hex key was a 500."""
+
+    @pytest.fixture(params=[1, 4], ids=["flat", "sharded"])
+    def store_server(self, request, tmp_path):
+        server = ServiceServer(
+            host="127.0.0.1", port=0, queue_size=4, job_workers=1,
+            use_cell_cache=False, store_shards=request.param,
+            result_dir=tmp_path / "srv" / "results",
+        )
+        server.start()
+        yield server
+        server.stop(drain_timeout=10.0)
+
+    def raw_get(self, server, path):
+        """GET *path* verbatim (``http.client`` does not normalize
+        ``..`` segments the way URL libraries do)."""
+        import http.client
+
+        conn = http.client.HTTPConnection(*server.address, timeout=10.0)
+        try:
+            conn.request("GET", path)
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+        finally:
+            conn.close()
+
+    def test_dotdot_result_key_is_404_and_untouched(self, store_server,
+                                                    tmp_path):
+        import os
+
+        # root/<key[:2]>/<key>.json with key "../x/leak" resolves two
+        # levels above an existing root.
+        store_server.service.results.root.mkdir(parents=True,
+                                                exist_ok=True)
+        outside = tmp_path / "x" / "leak.json"
+        outside.parent.mkdir()
+        outside.write_bytes(b'{"secret": true}')
+        os.utime(outside, (1_000_000, 1_000_000))
+        status, body = self.raw_get(store_server,
+                                    "/v1/results/../x/leak")
+        assert status == 404
+        assert b"secret" not in body
+        assert outside.stat().st_mtime == 1_000_000
+
+    @pytest.mark.parametrize("path", [
+        "/v1/results/zz",
+        "/v1/results/" + "AB" * 32,
+        "/v1/jobs/zz/trace",
+        "/v1/jobs/../x/trace",
+    ])
+    def test_non_key_paths_are_404(self, store_server, path):
+        status, _ = self.raw_get(store_server, path)
+        assert status == 404
