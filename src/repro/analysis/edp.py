@@ -9,8 +9,9 @@ ones.
 
 from dataclasses import dataclass, field
 
-from repro.core.experiment import run_experiment
-from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.campaign import CampaignRunner
+from repro.errors import CampaignError, ConfigurationError
+from repro.spec import ScenarioSpec
 
 #: The heap ladder used for the Jikes RVM sweeps (Section IV-A).
 JIKES_HEAPS_MB = (32, 48, 64, 80, 96, 112, 128)
@@ -21,22 +22,20 @@ PXA255_HEAPS_MB = (12, 16, 20, 24, 28, 32)
 
 @dataclass
 class EDPSweep:
-    """Grid of experiment results keyed by (benchmark, collector, heap)."""
+    """EDP values (joule-seconds) keyed by (benchmark, collector, heap)."""
 
     results: dict = field(default_factory=dict)
 
-    def add(self, benchmark, collector, heap_mb, result):
-        self.results[(benchmark, collector, heap_mb)] = result
+    def add(self, benchmark, collector, heap_mb, edp_js):
+        self.results[(benchmark, collector, heap_mb)] = edp_js
 
     def get(self, benchmark, collector, heap_mb):
         return self.results[(benchmark, collector, heap_mb)]
 
     def edp(self, benchmark, collector, heap_mb):
         """EDP in joule-seconds; ``inf`` for configurations that OOMed."""
-        result = self.results.get((benchmark, collector, heap_mb))
-        if result is None:
-            return float("inf")
-        return result.edp
+        return self.results.get((benchmark, collector, heap_mb),
+                                float("inf"))
 
     def series(self, benchmark, collector):
         """EDP-vs-heap series ``[(heap_mb, edp), ...]`` for one line of
@@ -85,31 +84,35 @@ class EDPSweep:
 
 
 def edp_sweep(benchmarks, collectors, heaps, vm="jikes", platform="p6",
-              input_scale=1.0, skip_oom=True, **kwargs):
-    """Run the full (benchmark x collector x heap) grid.
+              input_scale=1.0, seed=42, dvfs_freq_scale=None):
+    """Run the full (benchmark x collector x heap) grid through the
+    campaign runner.
 
     Configurations whose live set genuinely does not fit (tiny heap,
-    semispace discipline) raise :class:`OutOfMemoryError`; with
-    ``skip_oom`` they are recorded as absent (EDP = infinity), matching
-    how papers leave unrunnable points off the plot.
+    semispace discipline) come back as OOM cells and are left out of
+    the sweep (EDP = infinity), matching how papers leave unrunnable
+    points off the plot.  Any other cell failure raises
+    :class:`~repro.errors.CampaignError`.
     """
+    spec = ScenarioSpec(
+        benchmarks=tuple(benchmarks),
+        vms=(vm,),
+        platforms=(platform,),
+        collectors=tuple(collectors),
+        heap_mbs=tuple(heaps),
+        seeds=(seed,),
+        input_scales=(input_scale,),
+        dvfs_freq_scales=(dvfs_freq_scale,),
+    )
     sweep = EDPSweep()
-    for bench in benchmarks:
-        for collector in collectors:
-            for heap in heaps:
-                try:
-                    result = run_experiment(
-                        bench,
-                        vm=vm,
-                        platform=platform,
-                        collector=collector,
-                        heap_mb=heap,
-                        input_scale=input_scale,
-                        **kwargs,
-                    )
-                except OutOfMemoryError:
-                    if not skip_oom:
-                        raise
-                    continue
-                sweep.add(bench, collector, heap, result)
+    for cell in CampaignRunner(retries=0).run(spec.campaign_config()):
+        cfg = cell.config
+        if not cell.ok:
+            raise CampaignError(
+                f"sweep cell {cfg.benchmark} {cfg.collector} @ "
+                f"{cfg.heap_mb} MB failed: [{cell.error_type}] {cell.error}"
+            )
+        if not cell.oom:
+            sweep.add(cfg.benchmark, cfg.collector, cfg.heap_mb,
+                      cell.payload["totals"]["edp_js"])
     return sweep

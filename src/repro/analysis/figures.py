@@ -1,107 +1,8 @@
-"""ASCII figure rendering.
-
-Publication figures need line charts and grouped bars, not just tables;
-this module renders both as plain text so the harness's regenerated
-figures (`benchmarks/output/*.txt`) are directly comparable to the
-paper's plots without any plotting dependency.
+"""ASCII figure rendering: one-line sparklines for power and live-set
+series, with no plotting dependency.
 """
 
-import math
-
 from repro.errors import ConfigurationError
-
-
-def _scale(value, lo, hi, steps):
-    if hi <= lo:
-        return 0
-    return int(round((value - lo) / (hi - lo) * steps))
-
-
-def line_chart(series, width=64, height=16, x_label="x", y_label="y",
-               y_min=None, y_max=None, markers="*+ox#@"):
-    """Render ``{name: [(x, y), ...]}`` as an ASCII line chart.
-
-    Points are plotted on a shared grid; each series gets a marker
-    character.  X values need not be uniformly spaced (the grid is
-    linear in x).
-    """
-    if not series:
-        raise ConfigurationError("no series to plot")
-    all_points = [p for pts in series.values() for p in pts]
-    if not all_points:
-        raise ConfigurationError("series contain no points")
-    xs = [x for x, _ in all_points]
-    ys = [y for _, y in all_points]
-    finite_ys = [y for y in ys if math.isfinite(y)]
-    if not finite_ys:
-        raise ConfigurationError("no finite y values to plot")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo = min(finite_ys) if y_min is None else y_min
-    y_hi = max(finite_ys) if y_max is None else y_max
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-
-    grid = [[" "] * (width + 1) for _ in range(height + 1)]
-    legend = []
-    for i, (name, points) in enumerate(series.items()):
-        marker = markers[i % len(markers)]
-        legend.append(f"{marker}={name}")
-        for x, y in points:
-            if not math.isfinite(y):
-                continue
-            col = _scale(x, x_lo, x_hi, width)
-            row = height - _scale(
-                min(max(y, y_lo), y_hi), y_lo, y_hi, height
-            )
-            grid[row][col] = marker
-
-    lines = []
-    for row_idx, row in enumerate(grid):
-        level = y_hi - (y_hi - y_lo) * row_idx / height
-        prefix = f"{level:10.1f} |" if row_idx % 4 == 0 else \
-            f"{'':10s} |"
-        lines.append(prefix + "".join(row))
-    lines.append(f"{'':10s} +" + "-" * (width + 1))
-    left = f"{x_lo:g}"
-    right = f"{x_hi:g}"
-    pad = width + 1 - len(left) - len(right)
-    lines.append(f"{'':10s}  {left}{'':{max(pad, 1)}s}{right}"
-                 f"   ({x_label})")
-    lines.append(f"{'':10s}  {y_label}; " + ", ".join(legend))
-    return "\n".join(lines)
-
-
-def grouped_bars(groups, width=50, fmt="{:.1f}"):
-    """Render ``{group: {label: value}}`` as horizontal grouped bars.
-
-    Every bar is scaled against the global maximum, so relative heights
-    are comparable across groups — the layout of the paper's Figures 6,
-    8, 9, and 11.
-    """
-    if not groups:
-        raise ConfigurationError("no groups to plot")
-    values = [
-        v for bars in groups.values() for v in bars.values()
-    ]
-    if not values:
-        raise ConfigurationError("groups contain no bars")
-    peak = max(values)
-    if peak <= 0:
-        raise ConfigurationError("bar values must include a positive "
-                                 "maximum")
-    label_w = max(
-        len(label) for bars in groups.values() for label in bars
-    )
-    lines = []
-    for group, bars in groups.items():
-        lines.append(f"{group}:")
-        for label, value in bars.items():
-            n = int(round(width * value / peak))
-            lines.append(
-                f"  {label.ljust(label_w)} |{'#' * n}"
-                f"{' ' * (width - n)}| " + fmt.format(value)
-            )
-    return "\n".join(lines)
 
 
 def sparkline(values, width=None, charset=" .:-=+*#%@"):

@@ -252,26 +252,20 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
+    from repro.analysis.edp import edp_sweep
+
     benchmark = _resolve_benchmark(args, "sweep")
     if benchmark is None:
         return 2
-    spec = ScenarioSpec(
-        benchmarks=(benchmark,),
-        vms=(args.vm,),
-        platforms=(args.platform,),
-        collectors=tuple(args.collectors),
-        heap_mbs=tuple(args.heaps),
-        seeds=(args.seed,),
-        input_scales=(args.input_scale,),
-        dvfs_freq_scales=(args.dvfs,),
+    sweep = edp_sweep(
+        (benchmark,), args.collectors, args.heaps, vm=args.vm,
+        platform=args.platform, input_scale=args.input_scale,
+        seed=args.seed, dvfs_freq_scale=args.dvfs,
     )
-    obs = Observability.create(trace=False, metrics=False)
-    series = {}
-    for config in spec.cells():
-        result = Experiment(config, obs=obs).run()
-        series.setdefault(config.collector, []).append(
-            (config.heap_mb, result.edp)
-        )
+    series = {
+        collector: sweep.series(benchmark, collector)
+        for collector in args.collectors
+    }
     print(f"EDP (joule-seconds) for {benchmark}:")
     print(render_series(series, x_label="heap MB", y_fmt="{:.0f}"))
     return 0
@@ -312,14 +306,13 @@ def cmd_workload(args):
 
 def cmd_pauses(args):
     from repro.analysis.pauses import mmu_curve, pause_stats
-    from repro.spec import build_vm
 
     config = _single_cell_config(args, "pauses")
     if config is None:
         return 2
-    vm = build_vm(config,
-                  obs=Observability.create(trace=False, metrics=False))
-    run = vm.run(config.benchmark, input_scale=config.input_scale)
+    run = Experiment(
+        config, obs=Observability.create(trace=False, metrics=False)
+    ).simulate().run
     stats = pause_stats(run.timeline)
     print(f"{config.benchmark} ({run.collector_name}, "
           f"{config.heap_mb} MB): {stats.describe()}")
@@ -509,19 +502,17 @@ def cmd_spec(args):
 
 def cmd_validate(args):
     from repro.analysis.validation import attribution_error
-    from repro.spec import build_platform, build_vm
 
     config = _single_cell_config(args, "validate")
     if config is None:
         return 2
-    platform = build_platform(config)
-    vm = build_vm(config, platform,
-                  obs=Observability.create(trace=False, metrics=False))
-    run = vm.run(config.benchmark, input_scale=config.input_scale)
+    sim = Experiment(
+        config, obs=Observability.create(trace=False, metrics=False)
+    ).simulate()
     rows = []
     for period_us in args.periods:
         report = attribution_error(
-            run, platform, sample_period_s=period_us * 1e-6
+            sim.run, sim.platform, sample_period_s=period_us * 1e-6
         )
         rows.append([
             f"{period_us:.0f}",

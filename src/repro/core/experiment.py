@@ -195,8 +195,8 @@ class Experiment:
     the samplers and decomposition over a finished simulation — either
     the live :class:`~repro.core.simulation.SimulationResult` or a
     deserialized :class:`~repro.core.simulation.SimulationArtifact`.
-    :meth:`run` is the fused convenience path (simulate then measure
-    under one trace span), bit-identical to phase-at-a-time execution.
+    :meth:`run` is the convenience path: exactly ``measure(simulate())``
+    under one ``experiment`` trace span.
 
     ``obs`` is an optional :class:`~repro.obs.Observability` bundle;
     when given, the runner records wall-clock phase spans (setup, VM
@@ -260,17 +260,17 @@ class Experiment:
         return result
 
     def run(self):
-        """Execute the experiment; returns an :class:`ExperimentResult`."""
+        """Execute the experiment — :meth:`measure` over :meth:`simulate`
+        under one ``experiment`` span; returns an
+        :class:`ExperimentResult`."""
         cfg = self.config
         obs = self.bound_obs()
-        tracer = obs.tracer
         obs.log.info("experiment.start", collector=cfg.collector,
                      heap_mb=cfg.heap_mb)
-        with tracer.wall_span("experiment", benchmark=cfg.benchmark,
-                              vm=cfg.vm, platform=cfg.platform,
-                              seed=cfg.seed):
-            sim = _simulate_phase(cfg, obs=obs)
-            result = self._measure_phase(sim, obs, None)
+        with obs.tracer.wall_span("experiment", benchmark=cfg.benchmark,
+                                  vm=cfg.vm, platform=cfg.platform,
+                                  seed=cfg.seed):
+            result = self.measure(self.simulate())
         if obs.metrics.enabled:
             obs.metrics.counter("experiment.runs").inc()
         if obs.log.enabled:

@@ -1,9 +1,8 @@
 """Plain-text rendering of results: tables and simple bar charts.
 
-The benchmark harness and the examples use these helpers to print the
-paper's figures as text — stacked energy-decomposition bars (Figures 6,
-9, 11), metric-vs-heap series (Figures 7, 10), and per-component power
-tables (Figure 8).
+The CLI and the examples use these helpers to print results as text —
+tables, stacked energy-decomposition bars, metric-vs-heap series
+(Figures 7, 10), and the instrumentation-perturbation line.
 """
 
 from repro.errors import ConfigurationError
@@ -90,21 +89,3 @@ def render_perturbation(report):
         "instrumentation perturbation (the methodology's own cost): "
         + report.describe()
     )
-
-
-def render_energy_decomposition(results, order=None, width=46):
-    """Figure 6/9/11-style rendering: one stacked bar per benchmark.
-
-    ``results`` maps benchmark name to an
-    :class:`~repro.core.metrics.EnergyBreakdown`.
-    """
-    lines = []
-    name_w = max(len(n) for n in results)
-    for name, breakdown in results.items():
-        fracs = breakdown.as_fractions()
-        if order:
-            fracs = {k: fracs[k] for k in order if k in fracs}
-        lines.append(
-            f"{name.ljust(name_w)}  {render_stacked_bar(fracs, width)}"
-        )
-    return "\n".join(lines)

@@ -71,17 +71,6 @@ def power_trace_from_csv(path):
     )
 
 
-def format_with_ci(value, distribution, unit="J"):
-    """``value ± half-width unit`` when a distribution is known,
-    ``value unit`` otherwise — the shared rendering for reports that
-    may or may not carry an uncertainty section."""
-    if distribution is None:
-        return f"{value:.6g} {unit}"
-    return (
-        f"{value:.6g} ± {distribution.ci_half_width:.3g} {unit}"
-    )
-
-
 def result_to_dict(result):
     """JSON-serializable summary of an ExperimentResult.
 

@@ -163,22 +163,6 @@ def is_stale(envelope):
     )
 
 
-def sweep_orphan_envelopes(root, max_age_s=3600.0):
-    """Delete aged ``.prov`` sidecars whose entry is gone.
-
-    Pruned or evicted entries normally take their sidecar with them;
-    this catches strays from crashed writers.  Age-gated so the window
-    between an entry write and its envelope write is never raced.
-    Returns the number removed.  This is the stores' orphan sweep
-    (:func:`repro.content_store.sweep_orphans`) limited to envelopes.
-    """
-    from repro.content_store import sweep_orphans
-
-    return sweep_orphans(root, max_age_s, patterns=(
-        f"*{ENVELOPE_SUFFIX}",
-    ))[0]
-
-
 # -- lineage queries ---------------------------------------------------
 
 def lineage(root, suffixes=None):
@@ -438,6 +422,5 @@ __all__ = [
     "replay_result",
     "replay_store_entry",
     "store_keys",
-    "sweep_orphan_envelopes",
     "write_envelope",
 ]

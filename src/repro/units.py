@@ -12,7 +12,6 @@ The simulator uses a small set of canonical units everywhere:
 
 KB = 1024
 MB = 1024 * 1024
-GB = 1024 * 1024 * 1024
 
 MICROSECOND = 1e-6
 MILLISECOND = 1e-3
@@ -50,23 +49,3 @@ def seconds_to_cycles(seconds, clock_hz):
 def joules(power_w, seconds):
     """Energy in joules for ``power_w`` watts sustained for ``seconds``."""
     return power_w * seconds
-
-
-def format_bytes(n):
-    """Human-readable byte count (e.g. ``'32.0 MB'``)."""
-    if n >= GB:
-        return f"{n / GB:.1f} GB"
-    if n >= MB:
-        return f"{n / MB:.1f} MB"
-    if n >= KB:
-        return f"{n / KB:.1f} KB"
-    return f"{int(n)} B"
-
-
-def format_duration(seconds):
-    """Human-readable duration (e.g. ``'1.25 s'`` or ``'310 ms'``)."""
-    if seconds >= 1.0:
-        return f"{seconds:.2f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.0f} ms"
-    return f"{seconds * 1e6:.0f} us"

@@ -9,11 +9,6 @@ from repro.analysis.edp import (
 )
 
 
-class FakeResult:
-    def __init__(self, edp):
-        self.edp = edp
-
-
 def make_sweep():
     sweep = EDPSweep()
     data = {
@@ -25,7 +20,7 @@ def make_sweep():
         ("javac", "GenMS", 128): 105.0,
     }
     for (bench, coll, heap), value in data.items():
-        sweep.add(bench, coll, heap, FakeResult(value))
+        sweep.add(bench, coll, heap, value)
     return sweep
 
 

@@ -2,75 +2,8 @@
 
 import pytest
 
-from repro.analysis.figures import grouped_bars, line_chart, sparkline
+from repro.analysis.figures import sparkline
 from repro.errors import ConfigurationError
-
-
-class TestLineChart:
-    def test_basic_render(self):
-        text = line_chart(
-            {"SemiSpace": [(32, 400.0), (64, 200.0), (128, 120.0)],
-             "GenMS": [(32, 150.0), (64, 130.0), (128, 110.0)]},
-            x_label="heap MB", y_label="EDP",
-        )
-        assert "*=SemiSpace" in text
-        assert "+=GenMS" in text
-        assert "heap MB" in text
-        assert "32" in text and "128" in text
-
-    def test_markers_positioned_by_value(self):
-        text = line_chart(
-            {"a": [(0, 0.0), (10, 100.0)]}, width=20, height=10
-        )
-        lines = text.splitlines()
-        # The high-y point appears above the low-y point.
-        first_row = next(i for i, l in enumerate(lines) if "*" in l)
-        last_row = max(i for i, l in enumerate(lines) if "*" in l)
-        assert lines[first_row].rstrip().endswith("*")  # x=10 at right
-        assert lines[last_row].index("*") < len(lines[first_row])
-
-    def test_infinite_values_skipped(self):
-        text = line_chart(
-            {"a": [(0, 1.0), (1, float("inf")), (2, 3.0)]}
-        )
-        body = "\n".join(text.splitlines()[:-1])  # drop the legend
-        assert body.count("*") == 2
-
-    def test_flat_series(self):
-        text = line_chart({"a": [(0, 5.0), (1, 5.0)]})
-        assert "*" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            line_chart({})
-        with pytest.raises(ConfigurationError):
-            line_chart({"a": []})
-        with pytest.raises(ConfigurationError):
-            line_chart({"a": [(0, float("nan"))]})
-
-
-class TestGroupedBars:
-    def test_basic_render(self):
-        text = grouped_bars({
-            "javac": {"App": 10.0, "GC": 5.0},
-            "jess": {"App": 8.0, "GC": 2.0},
-        })
-        assert "javac:" in text
-        assert text.count("|") == 8  # two delimiters per bar
-
-    def test_bars_scaled_to_global_max(self):
-        text = grouped_bars(
-            {"g": {"full": 10.0, "half": 5.0}}, width=20
-        )
-        lines = text.splitlines()
-        assert lines[1].count("#") == 20
-        assert lines[2].count("#") == 10
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            grouped_bars({})
-        with pytest.raises(ConfigurationError):
-            grouped_bars({"g": {"a": 0.0}})
 
 
 class TestSparkline:

@@ -37,7 +37,7 @@ from repro.campaign.grid import CampaignConfig
 from repro.campaign.runner import run_campaign
 from repro.core.experiment import Experiment, ExperimentConfig
 from repro.errors import ConfigurationError
-from repro.export import format_with_ci, result_to_dict
+from repro.export import result_to_dict
 from repro.jvm.components import Component
 from repro.obs import Observability
 
@@ -319,12 +319,6 @@ class TestSurfaceIntegration:
         assert result.uncertainty is report
         exported = result_to_dict(result)
         assert exported["uncertainty"] == small_report.as_dict()
-
-    def test_format_with_ci(self, small_report):
-        dist = small_report.totals["cpu_energy_j"]
-        with_ci = format_with_ci(dist.mean, dist)
-        assert "±" in with_ci and with_ci.endswith("J")
-        assert "±" not in format_with_ci(1.25, None)
 
 
 class TestNoiseFreeByteIdentity:

@@ -172,3 +172,13 @@ class TestInstrumentation:
         full = run_tiny(seed=5)
         small = run_tiny(seed=5, input_scale=0.3)
         assert small.duration_s < full.duration_s
+
+
+class TestErrorFormatting:
+    def test_oom_message(self):
+        err = OutOfMemoryError(4096, 32 << 20, 30 << 20)
+        text = str(err)
+        assert "4096" in text
+        assert "heap" in text
+        assert err.requested_bytes == 4096
+        assert err.live_bytes == 30 << 20

@@ -2,8 +2,27 @@
 
 import json
 
+import pytest
 
+from repro.analysis.pauses import pause_stats
+from repro.analysis.validation import attribution_error
 from repro.cli import main
+from repro.core.experiment import Experiment
+from repro.jvm.components import Component
+from repro.spec import ScenarioSpec
+
+#: A cell whose ``[run]`` section differs from the defaults.
+RUN_SECTION_SPEC = """
+[axes]
+benchmark = "_202_jess"
+collector = "GenCopy"
+heap_mb = 32
+input_scale = 0.1
+
+[run]
+repetitions = 3
+warmup = false
+"""
 
 
 class TestPausesCommand:
@@ -17,6 +36,42 @@ class TestPausesCommand:
         assert "pauses" in out
         assert "MMU" in out
         assert "window ms" in out
+
+
+class TestSpecRunSection:
+    """pauses and validate simulate the cell the spec describes,
+    repetitions and warm-up included."""
+
+    @pytest.fixture(scope="class")
+    def spec_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("spec") / "reps.toml"
+        path.write_text(RUN_SECTION_SPEC)
+        return str(path)
+
+    @pytest.fixture(scope="class")
+    def sim(self, spec_path):
+        config = ScenarioSpec.from_file(spec_path).experiment_config()
+        assert config.repetitions == 3 and not config.warmup
+        return Experiment(config).simulate()
+
+    def test_pauses_honours_run_section(self, spec_path, sim, capsys):
+        assert main(["pauses", "--spec", spec_path]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        stats = pause_stats(sim.run.timeline)
+        assert first.endswith(": " + stats.describe())
+
+    def test_validate_honours_run_section(self, spec_path, sim, capsys):
+        assert main(["validate", "--spec", spec_path,
+                     "--periods", "40", "1000"]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        for row, period_us in zip(rows, (40, 1000), strict=True):
+            report = attribution_error(sim.run, sim.platform,
+                                       sample_period_s=period_us * 1e-6)
+            assert row.split() == [
+                str(period_us),
+                f"{100 * report.total_misattribution_fraction():.2f}",
+                f"{100 * report.relative_error(Component.GC):.2f}",
+            ]
 
 
 class TestExportCommand:

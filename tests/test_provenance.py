@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.content_store import sweep_orphans
 from repro.provenance import (
     ENVELOPE_SUFFIX,
     PROVENANCE_SCHEMA,
@@ -18,7 +19,6 @@ from repro.provenance import (
     prune_stale,
     read_envelope,
     remove_envelope,
-    sweep_orphan_envelopes,
     write_envelope,
 )
 
@@ -120,6 +120,12 @@ class TestStaleness:
         assert is_stale(envelope)
 
 
+def sweep_stray_envelopes(root):
+    """The stores' orphan sweep, limited to ``.prov`` sidecars."""
+    return sweep_orphans(root, 3600.0,
+                         patterns=(f"*{ENVELOPE_SUFFIX}",))[0]
+
+
 class TestOrphanSweep:
     def aged(self, path, seconds=7200.0):
         past = time.time() - seconds
@@ -130,20 +136,20 @@ class TestOrphanSweep:
         write_envelope(entry, build_envelope("result", "ab" * 32))
         entry.unlink()
         self.aged(envelope_path(entry))
-        assert sweep_orphan_envelopes(tmp_path, max_age_s=3600.0) == 1
+        assert sweep_stray_envelopes(tmp_path) == 1
 
     def test_young_stray_sidecar_kept(self, tmp_path):
         entry = make_entry(tmp_path, "ab" * 32 + ".json")
         write_envelope(entry, build_envelope("result", "ab" * 32))
         entry.unlink()
-        assert sweep_orphan_envelopes(tmp_path, max_age_s=3600.0) == 0
+        assert sweep_stray_envelopes(tmp_path) == 0
         assert envelope_path(entry).exists()
 
     def test_sidecar_with_live_entry_kept(self, tmp_path):
         entry = make_entry(tmp_path, "ab" * 32 + ".json")
         write_envelope(entry, build_envelope("result", "ab" * 32))
         self.aged(envelope_path(entry))
-        assert sweep_orphan_envelopes(tmp_path, max_age_s=3600.0) == 0
+        assert sweep_stray_envelopes(tmp_path) == 0
         assert read_envelope(entry) is not None
 
 

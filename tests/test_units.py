@@ -26,15 +26,3 @@ class TestConversions:
         assert units.HPM_PERIOD_P6_S == pytest.approx(1e-3)
         assert units.HPM_PERIOD_PXA255_S == pytest.approx(10e-3)
 
-
-class TestFormatting:
-    def test_format_bytes(self):
-        assert units.format_bytes(512) == "512 B"
-        assert units.format_bytes(2048) == "2.0 KB"
-        assert units.format_bytes(3 * 1024 * 1024) == "3.0 MB"
-        assert units.format_bytes(5 * 1024 ** 3) == "5.0 GB"
-
-    def test_format_duration(self):
-        assert units.format_duration(2.5) == "2.50 s"
-        assert units.format_duration(0.31) == "310 ms"
-        assert units.format_duration(42e-6) == "42 us"
