@@ -15,14 +15,11 @@ writes them to ``BENCH_engine.json``:
   ratio is the split pipeline's accountability number; it is a
   same-machine ratio, so it gates robustly on shared runners.
 
-Both are compared against ``baseline.json``, which carries two kinds of
-reference values:
-
-* ``pre_pr`` — the same measurements taken from a git worktree of the
-  last pre-engine commit (see the file's provenance note).  The speedup
-  the harness reports is *current vs. pre_pr*.
-* ``gate`` — the post-engine reference rate used by
-  ``scripts/check_perf.py`` to fail CI on a >30 % regression.
+Every comparison the harness prints is between two numbers measured in
+the same run on the same machine: batched vs. legacy segments/sec, and
+the split vs. the fused sweep.  Absolute times do not compare across
+machines.  ``scripts/check_perf.py`` gates the output against the
+``gate`` section of ``baseline.json``.
 
 Usage::
 
@@ -35,9 +32,6 @@ import argparse
 import json
 import time
 from pathlib import Path
-
-HERE = Path(__file__).resolve().parent
-BASELINE_PATH = HERE / "baseline.json"
 
 MICRO_CHUNK_S = 2e-5
 MICRO_INSTRUCTIONS = 2_000_000_000
@@ -150,12 +144,7 @@ def main(argv=None):
                         help="result file (default: ./BENCH_engine.json)")
     parser.add_argument("--repeats", type=int, default=5,
                         help="measurement repeats, best-of (default 5)")
-    parser.add_argument("--baseline", default=str(BASELINE_PATH),
-                        help="baseline file to compare against")
     args = parser.parse_args(argv)
-
-    baseline = json.loads(Path(args.baseline).read_text())
-    pre = baseline["pre_pr"]
 
     results = {
         "schema": "repro-bench-engine-v1",
@@ -169,32 +158,22 @@ def main(argv=None):
         "e2e": {"repeats": args.repeats, **e2e(args.repeats)},
         "sweep": {"repeats": args.repeats, **sweep(args.repeats)},
     }
-    rate = results["microbench"]["batched"]["segments_per_sec"]
-    wall = results["e2e"]["wall_s"]
-    results["vs_pre_pr"] = {
-        "baseline_commit": baseline["captured_at_commit"],
-        "segments_per_sec_speedup": round(
-            rate / pre["segments_per_sec"], 2
-        ),
-        "e2e_speedup": round(pre["e2e_wall_s"] / wall, 2),
-    }
+    micro = results["microbench"]
+    rate = micro["batched"]["segments_per_sec"]
+    legacy = micro["legacy"]["segments_per_sec"]
+    micro["batched_over_legacy"] = round(rate / legacy, 2)
 
     out = Path(args.output)
     out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"segments/sec  batched: {rate:>12,.0f}")
-    print(f"segments/sec   legacy: "
-          f"{results['microbench']['legacy']['segments_per_sec']:>12,.0f}")
-    print(f"segments/sec  pre-PR : {pre['segments_per_sec']:>12,.0f}  "
-          f"(speedup "
-          f"{results['vs_pre_pr']['segments_per_sec_speedup']}x)")
-    print(f"e2e wall      current: {wall:>9.3f} s")
-    print(f"e2e wall      pre-PR : {pre['e2e_wall_s']:>9.3f} s  "
-          f"(speedup {results['vs_pre_pr']['e2e_speedup']}x)")
+    print(f"segments/sec   legacy: {legacy:>12,.0f}  "
+          f"(batched/legacy {micro['batched_over_legacy']}x)")
+    print(f"e2e wall             : {results['e2e']['wall_s']:>9.3f} s")
     sw = results["sweep"]
     print(f"sweep ({len(SWEEP_PERIODS_S)} DAQ periods)  "
           f"fused: {sw['fused_wall_s']:>7.3f} s  "
           f"split: {sw['split_wall_s']:>7.3f} s  "
-          f"(amortized {sw['amortized_speedup']}x)")
+          f"(fused/split {sw['amortized_speedup']}x)")
     print(f"wrote {out}")
     return 0
 

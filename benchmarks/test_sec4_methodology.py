@@ -11,7 +11,8 @@ import pytest
 
 from benchmarks.common import emit
 from benchmarks.conftest import once
-from repro.analysis.validation import attribution_error
+from repro.core.experiment import Experiment, ExperimentConfig
+from repro.core.simulation import MeasurementConfig, SimulationResult
 from repro.hardware.platform import make_platform
 from repro.jvm.vm import JikesRVM
 from repro.workloads import get_benchmark
@@ -22,8 +23,13 @@ def build():
     pxa = make_platform("pxa255")
     vm = JikesRVM(p6, collector="GenCopy", heap_mb=64, seed=42)
     run = vm.run(get_benchmark("_202_jess"))
+    config = ExperimentConfig(benchmark="_202_jess", collector="GenCopy",
+                              heap_mb=64, seed=42)
+    sim = SimulationResult(config=config, run=run, platform=p6)
     reports = {
-        period: attribution_error(run, p6, sample_period_s=period)
+        period: Experiment(config).measure(
+            sim, MeasurementConfig(daq_period_s=period)
+        ).attribution
         for period in (40e-6, 200e-6, 1e-3, 10e-3)
     }
     return p6, pxa, run, reports

@@ -3,30 +3,31 @@
 The paper argues its 40 us sampling window is fine because "typical
 component duration is hundreds of micro-seconds on our P6 system".  On
 real hardware that claim cannot be checked — there is no ground truth.
-The simulator has one: this example measures the same execution with
-progressively coarser DAQs and reports how much energy gets attributed
-to the wrong component, plus the instrumentation's own perturbation.
+The simulator has one: this example simulates one execution, measures
+it with progressively coarser DAQs, and reports how much energy each
+measurement attributed to the wrong component, plus the
+instrumentation's own perturbation.
 
 Run with::
 
     python examples/methodology_validation.py
 """
 
-from repro.analysis.validation import attribution_error
+from repro.core.experiment import Experiment, ExperimentConfig
 from repro.core.report import render_table
-from repro.hardware.platform import make_platform
+from repro.core.simulation import MeasurementConfig
 from repro.jvm.components import Component
-from repro.jvm.vm import JikesRVM
-from repro.workloads import get_benchmark
 
 PERIODS = (10e-6, 40e-6, 200e-6, 1e-3, 10e-3, 100e-3)
 
 
 def main():
-    platform = make_platform("p6")
-    vm = JikesRVM(platform, collector="GenCopy", heap_mb=64, seed=42)
+    experiment = Experiment(ExperimentConfig(
+        benchmark="_202_jess", collector="GenCopy", heap_mb=64, seed=42,
+    ))
     print("Executing _202_jess (Jikes RVM, GenCopy, 64 MB) ...")
-    run = vm.run(get_benchmark("_202_jess"))
+    sim = experiment.simulate()
+    run = sim.run
 
     pert = run.perturbation_cycles / run.timeline.total_cycles
     print(
@@ -37,8 +38,9 @@ def main():
 
     rows = []
     for period in PERIODS:
-        report = attribution_error(run, platform,
-                                   sample_period_s=period)
+        report = experiment.measure(
+            sim, MeasurementConfig(daq_period_s=period)
+        ).attribution
         rows.append([
             f"{period * 1e6:.0f}",
             100 * report.total_misattribution_fraction(),

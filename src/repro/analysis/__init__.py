@@ -27,11 +27,9 @@ from repro.analysis.figures import sparkline
 from repro.analysis.pauses import mmu, mmu_curve, pause_stats
 from repro.analysis.thermal import thermal_replay, thermal_experiment
 from repro.analysis.timeseries import bin_power, gc_power_dip
-from repro.analysis.validation import attribution_error
 
 __all__ = [
     "EDPSweep",
-    "attribution_error",
     "bin_power",
     "edp_sweep",
     "gc_power_dip",

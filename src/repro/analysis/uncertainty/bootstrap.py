@@ -29,17 +29,12 @@ from repro.analysis.uncertainty.distribution import (
     EnergyDistribution,
     OnlineStats,
 )
-from repro.core.experiment import Experiment, measurement_streams
-from repro.core.simulation import (
-    MeasurementConfig,
-    SimulationArtifact,
-    SimulationResult,
-)
+from repro.core.experiment import Experiment, acquire
+from repro.core.simulation import MeasurementConfig
 from repro.errors import ConfigurationError
 from repro.jvm.components import Component
-from repro.measurement.daq import DAQ
 from repro.measurement.noise import DEFAULT_NOISE, NoiseConfig
-from repro.measurement.prepared import PreparedTarget, Workspace
+from repro.measurement.prepared import Workspace
 
 #: Version of the replicate-seed derivation.  Bump when the derivation
 #: changes incompatibly; reports record the version that produced them.
@@ -198,12 +193,14 @@ class BootstrapEngine:
         self.ci_level = float(ci_level)
         self.measurement = (
             measurement if measurement is not None
-            else MeasurementConfig.from_experiment(config)
+            else MeasurementConfig()
         )
         self.obs = obs
 
     def replicate_measurement(self, index):
-        """The :class:`MeasurementConfig` of replicate *index*."""
+        """The :class:`MeasurementConfig` override of replicate
+        *index*: the shared knobs, this engine's noise and the
+        replicate's derived seed."""
         seed = derive_replicate_seed(self.config.seed, index)
         return replace(
             self.measurement,
@@ -236,48 +233,30 @@ class BootstrapEngine:
         no DAQ byte).  Results are folded into the accumulators in
         replicate order, so the report does not depend on the pool.
         """
-        if not isinstance(sim, (SimulationResult, SimulationArtifact)):
-            raise ConfigurationError(
-                "run() takes a SimulationResult or SimulationArtifact, "
-                f"got {type(sim).__name__}"
-            )
         experiment = Experiment(self.config, obs=self.obs)
         obs = experiment.bound_obs()
-        if isinstance(sim, SimulationArtifact):
-            experiment.check_artifact(sim)
-            timeline = sim.timeline()
-        else:
-            timeline = sim.run.timeline
-        truth = _ground_truth(timeline)
-        target = sim.measurement_target()
-        prepared = PreparedTarget(timeline, target.port)
+        run, target, prepared = experiment.recording(sim)
+        truth = _ground_truth(run.timeline)
         with obs.tracer.wall_span("bootstrap", replicates=self.replicates):
             measured = self._replicate_energies(prepared, target, obs)
+        cpu, mem, per_comp = zip(*measured)
         totals = {
-            "cpu_energy_j": OnlineStats(),
-            "mem_energy_j": OnlineStats(),
-            "total_energy_j": OnlineStats(),
+            "cpu_energy_j": cpu,
+            "mem_energy_j": mem,
+            "total_energy_j": [c + m for c, m in zip(cpu, mem)],
         }
-        components = {}
-        for i, (cpu, mem, per_comp) in enumerate(measured):
-            totals["cpu_energy_j"].add(cpu)
-            totals["mem_energy_j"].add(mem)
-            totals["total_energy_j"].add(cpu + mem)
-            for cid, energy in per_comp.items():
-                label = _component_label(cid)
-                stats = components.get(label)
-                if stats is None:
-                    # A component first observed at replicate i was
-                    # measured (at zero energy) by the i earlier
-                    # replicates too — backfill so every accumulator
-                    # holds exactly `replicates` samples.
-                    stats = components[label] = OnlineStats()
-                    for _ in range(i):
-                        stats.add(0.0)
-                stats.add(energy)
-            for label, stats in components.items():
-                if stats.n < i + 1:
-                    stats.add(0.0)
+        by_label = [
+            {_component_label(cid): e for cid, e in energies.items()}
+            for energies in per_comp
+        ]
+        # A replicate that never observed a component measured it at
+        # zero energy, so every accumulator holds `replicates` samples.
+        components = {
+            label: [energies.get(label, 0.0) for energies in by_label]
+            for label in dict.fromkeys(
+                label for energies in by_label for label in energies
+            )
+        }
         report = UncertaintyReport(
             n_replicates=self.replicates,
             base_seed=self.config.seed,
@@ -286,17 +265,17 @@ class BootstrapEngine:
             seed_version=REPLICATE_SEED_VERSION,
             totals={
                 name: EnergyDistribution.from_stats(
-                    name, stats, ci_level=self.ci_level,
+                    name, _stats(values), ci_level=self.ci_level,
                     truth=truth["totals"].get(name),
                 )
-                for name, stats in totals.items()
+                for name, values in totals.items()
             },
             components={
                 label: EnergyDistribution.from_stats(
-                    label, stats, ci_level=self.ci_level,
+                    label, _stats(values), ci_level=self.ci_level,
                     truth=truth["components"].get(label),
                 )
-                for label, stats in components.items()
+                for label, values in components.items()
             },
         )
         if attach_to is not None:
@@ -317,12 +296,10 @@ class BootstrapEngine:
             work = getattr(local, "work", None)
             if work is None:
                 work = local.work = Workspace()
-            m = self.replicate_measurement(index)
-            rng, noise = measurement_streams(m.measurement_seed, m.noise)
-            power = DAQ(
-                target, rng, sample_period_s=m.daq_period_s, obs=obs,
-                noise=noise,
-            ).acquire(prepared, work=work)
+            knobs = MeasurementConfig.resolve(
+                self.config, target, self.replicate_measurement(index)
+            )
+            power, _, _ = acquire(target, prepared, knobs, obs, work=work)
             return (power.cpu_energy_j(), power.mem_energy_j(),
                     power.component_cpu_energy_j())
 
@@ -331,6 +308,14 @@ class BootstrapEngine:
             return [measure(i) for i in range(self.replicates)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(measure, range(self.replicates)))
+
+
+def _stats(values):
+    """*values*, in order, folded into one :class:`OnlineStats`."""
+    stats = OnlineStats()
+    for value in values:
+        stats.add(value)
+    return stats
 
 
 def _pool_size(replicates):

@@ -3,16 +3,14 @@
 On real hardware the paper could only argue that 40 us sampling "captures
 all important behavior" because typical component durations are hundreds
 of microseconds.  In the simulator the ground truth is available, so the
-claim is testable: :func:`attribution_error` quantifies how much energy
-the DAQ attributes to the wrong component, and how the error grows with
-the sampling period.
+claim is testable: every measurement's
+:attr:`~repro.core.experiment.ExperimentResult.attribution` is an
+:class:`AttributionReport` of how much energy its DAQ attributed to the
+wrong component; measuring one simulation at several DAQ periods shows
+how the error grows with the period.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from repro.measurement.daq import DAQ
 
 
 @dataclass
@@ -52,21 +50,3 @@ class AttributionReport:
             for k in keys
         )
         return l1 / (2.0 * total)
-
-
-def attribution_error(run_result, platform, rng=None,
-                      sample_period_s=40e-6):
-    """Acquire a power trace at ``sample_period_s`` and compare the
-    per-component energy attribution against the timeline's ground truth.
-    """
-    if rng is None:
-        rng = np.random.default_rng(12345)
-    daq = DAQ(platform, rng, sample_period_s=sample_period_s)
-    trace = daq.acquire(run_result.timeline, port=platform.port)
-    measured = trace.component_cpu_energy_j()
-    true = run_result.timeline.component_cpu_energy_j()
-    return AttributionReport(
-        sample_period_s=sample_period_s,
-        true_energy_j={int(k): v for k, v in true.items()},
-        measured_energy_j=measured,
-    )

@@ -15,7 +15,8 @@ The runner takes the expanded cell list and drives it to completion:
 * groups run on a ``concurrent.futures.ProcessPoolExecutor`` (or
   in-process when ``workers <= 1``), each cell under a per-cell
   wall-clock budget enforced *inside* the worker with an interval
-  timer, with a bounded number of retries;
+  timer, with a bounded number of retries after a timeout or a dead
+  worker;
 * a cell that still fails records a structured error entry and the
   campaign continues — one poisoned configuration cannot abort a
   thousand-cell matrix;
@@ -104,6 +105,11 @@ class _CellTimer:
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
             self.armed = False
         return False
+
+
+#: The failures a retry can cure: a cell out of its time budget, or a
+#: dead worker.  Any other failure recurs on every attempt.
+_TRANSIENT_ERRORS = ("CellTimeoutError", "BrokenProcessPool")
 
 
 def _cell_obs(trace_path):
@@ -592,7 +598,8 @@ class CampaignRunner:
             outcomes = _execute_group(*self._submit_group(cells, indices))
             for i, outcome in zip(indices, outcomes):
                 attempts = 1
-                while not outcome["ok"] and attempts <= self.retries:
+                while (outcome.get("error_type") in _TRANSIENT_ERRORS
+                       and attempts <= self.retries):
                     attempts += 1
                     # Retries run as singleton groups: with an artifact
                     # store the recorded execution is reused, without
@@ -652,7 +659,8 @@ class CampaignRunner:
                         else:
                             outcomes = fut.result()
                         for i, outcome in zip(indices, outcomes):
-                            if (not outcome["ok"]
+                            if (outcome.get("error_type")
+                                    in _TRANSIENT_ERRORS
                                     and attempts[i] <= self.retries):
                                 queue.append([i])
                                 continue

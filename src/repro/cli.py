@@ -54,7 +54,7 @@ from repro.core.report import (
     render_series,
     render_table,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.jvm.components import Component
 from repro.obs import Observability
 from repro.obs import logging as obs_logging
@@ -501,19 +501,20 @@ def cmd_spec(args):
 
 
 def cmd_validate(args):
-    from repro.analysis.validation import attribution_error
+    from repro.core.simulation import MeasurementConfig
 
     config = _single_cell_config(args, "validate")
     if config is None:
         return 2
-    sim = Experiment(
+    experiment = Experiment(
         config, obs=Observability.create(trace=False, metrics=False)
-    ).simulate()
+    )
+    sim = experiment.simulate()
     rows = []
     for period_us in args.periods:
-        report = attribution_error(
-            sim.run, sim.platform, sample_period_s=period_us * 1e-6
-        )
+        report = experiment.measure(
+            sim, MeasurementConfig(daq_period_s=period_us * 1e-6)
+        ).attribution
         rows.append([
             f"{period_us:.0f}",
             100 * report.total_misattribution_fraction(),
@@ -526,11 +527,26 @@ def cmd_validate(args):
     return 0
 
 
+def _stored_or_simulated(config, store):
+    """``(artifact, source, simulate wall s)`` of *config*: from the
+    artifact *store* when it holds one, else simulated (and stored)."""
+    import time
+
+    artifact = store.get(config) if store is not None else None
+    if artifact is not None:
+        return artifact, "store", 0.0
+    started = time.perf_counter()
+    artifact = Experiment(config).simulate().artifact()
+    sim_wall_s = time.perf_counter() - started
+    if store is not None:
+        store.put(config, artifact)
+    return artifact, "simulated", sim_wall_s
+
+
 def cmd_overhead(args):
     import json
     import time as time_mod
 
-    from repro.analysis.validation import attribution_error
     from repro.campaign.artifacts import ArtifactStore
     from repro.core.simulation import MeasurementConfig
 
@@ -539,22 +555,8 @@ def cmd_overhead(args):
         return 2
 
     store = None if args.no_artifacts else ArtifactStore(args.artifact_dir)
+    artifact, source, sim_wall_s = _stored_or_simulated(config, store)
     experiment = Experiment(config)
-    artifact = store.get(config) if store is not None else None
-    if artifact is not None:
-        sim_wall_s = 0.0
-        source = "store"
-    else:
-        started = time_mod.perf_counter()
-        artifact = experiment.simulate().artifact()
-        sim_wall_s = time_mod.perf_counter() - started
-        source = "simulated"
-        if store is not None:
-            store.put(config, artifact)
-    run = artifact.run_result()
-    target = artifact.measurement_target()
-    true_cpu_j = sum(run.timeline.component_cpu_energy_j().values())
-
     rows = []
     records = []
     measure_wall_total = 0.0
@@ -565,7 +567,8 @@ def cmd_overhead(args):
         result = experiment.measure(artifact, measurement)
         measure_s = time_mod.perf_counter() - started
         measure_wall_total += measure_s
-        report = attribution_error(run, target, sample_period_s=period_s)
+        report = result.attribution
+        true_cpu_j = sum(report.true_energy_j.values())
         energy_err = (
             abs(result.cpu_energy_j - true_cpu_j) / true_cpu_j
             if true_cpu_j else 0.0
@@ -683,19 +686,8 @@ def cmd_uncertainty(args):
         return 2
 
     store = None if args.no_artifacts else ArtifactStore(args.artifact_dir)
-    artifact = store.get(config) if store is not None else None
-    n_simulations = 0
-    if artifact is not None:
-        sim_wall_s = 0.0
-        source = "store"
-    else:
-        started = time_mod.perf_counter()
-        artifact = Experiment(config).simulate().artifact()
-        sim_wall_s = time_mod.perf_counter() - started
-        n_simulations = 1
-        source = "simulated"
-        if store is not None:
-            store.put(config, artifact)
+    artifact, source, sim_wall_s = _stored_or_simulated(config, store)
+    n_simulations = int(source == "simulated")
 
     started = time_mod.perf_counter()
     report = engine.run(artifact)
@@ -1457,6 +1449,13 @@ def main(argv=None):
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except ReproError as exc:
+        # A cell the simulator rejects (a heap too small to run in, a
+        # configuration it cannot build) is a one-line error, not a
+        # traceback.
+        print(f"repro {args.command}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

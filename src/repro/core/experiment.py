@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.decomposition import component_profiles, decompose
 from repro.core.metrics import edp, perturbation_report
 from repro.core.simulation import (
+    MeasurementConfig,
     SimulationArtifact,
     SimulationResult,
     simulate as _simulate_phase,
@@ -31,10 +32,7 @@ from repro.hardware.platform import validate_overrides
 from repro.jvm.components import Component
 from repro.measurement.daq import DAQ
 from repro.measurement.hpm_sampler import HPMSampler
-from repro.measurement.multiplexing import (
-    MultiplexedHPMSampler,
-    resolve_rotation,
-)
+from repro.measurement.multiplexing import MultiplexedHPMSampler
 from repro.measurement.noise import NOISE_SEED_OFFSET, NoiseModel
 from repro.measurement.prepared import PreparedTarget
 from repro.obs import NULL_OBS
@@ -85,19 +83,19 @@ class ExperimentConfig:
             raise ConfigurationError("repetitions must be >= 1")
         if self.n_slices < 1:
             raise ConfigurationError("n_slices must be >= 1")
-        if self.daq_period_s <= 0:
-            # A zero period would hang the DAQ sampler loop.
-            raise ConfigurationError("daq_period_s must be positive")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if self.hpm_period_s is not None and self.hpm_period_s <= 0:
-            raise ConfigurationError("hpm_period_s must be positive")
         object.__setattr__(
             self, "overrides", validate_overrides(self.overrides)
         )
-        object.__setattr__(
-            self, "hpm_rotation", resolve_rotation(self.hpm_rotation)
+        # The measurement knobs are checked, and the rotation
+        # normalized, by the same rules as a measurement override's.
+        knobs = MeasurementConfig(
+            daq_period_s=self.daq_period_s,
+            hpm_period_s=self.hpm_period_s,
+            hpm_rotation=self.hpm_rotation,
         )
+        object.__setattr__(self, "hpm_rotation", knobs.hpm_rotation)
 
 
 @dataclass
@@ -114,6 +112,10 @@ class ExperimentResult:
     #: attribute conjured inside the property, so dataclass tooling
     #: (``replace``, ``asdict``, pickling) sees the whole object.
     _perturbation: Optional[object] = dataclass_field(
+        default=None, repr=False, compare=False
+    )
+    #: Memoized :class:`~repro.analysis.validation.AttributionReport`.
+    _attribution: Optional[object] = dataclass_field(
         default=None, repr=False, compare=False
     )
     #: Optional :class:`repro.analysis.uncertainty.UncertaintyReport`
@@ -159,6 +161,23 @@ class ExperimentResult:
                 self.run.timeline, self.run.port_writes
             )
         return self._perturbation
+
+    @property
+    def attribution(self):
+        """This measurement's per-component CPU energy against the
+        timeline's exact truth (the paper's Section IV-D accuracy
+        claim), as an
+        :class:`~repro.analysis.validation.AttributionReport`."""
+        if self._attribution is None:
+            from repro.analysis.validation import AttributionReport
+
+            truth = self.run.timeline.component_cpu_energy_j()
+            self._attribution = AttributionReport(
+                sample_period_s=self.power.sample_period_s,
+                true_energy_j={int(k): v for k, v in truth.items()},
+                measured_energy_j=self.power.component_cpu_energy_j(),
+            )
+        return self._attribution
 
     def gc_energy_fraction(self):
         return self.breakdown.fraction(Component.GC)
@@ -245,9 +264,8 @@ class Experiment:
 
         ``measurement`` is an optional
         :class:`~repro.core.simulation.MeasurementConfig` overriding
-        the config's DAQ period (and the platform's HPM period) — the
-        hook that lets one artifact fan out into a whole
-        accuracy-vs-overhead frontier.
+        the config's measurement knobs — the hook that lets one
+        artifact fan out into a whole accuracy-vs-overhead frontier.
         """
         obs = self.bound_obs()
         with obs.tracer.wall_span("measure",
@@ -296,68 +314,22 @@ class Experiment:
         the artifact path and the live path run byte-identical code.
         """
         cfg = self.config
-        if isinstance(sim, SimulationArtifact):
-            self.check_artifact(sim)
-            run = sim.run_result()
-            target = sim.measurement_target()
-        elif isinstance(sim, SimulationResult):
-            run = sim.run
-            target = sim.measurement_target()
-        else:
-            raise ConfigurationError(
-                "measure() takes a SimulationResult or "
-                f"SimulationArtifact, got {type(sim).__name__}"
-            )
-        daq_period_s = (
-            measurement.daq_period_s if measurement is not None
-            else cfg.daq_period_s
-        )
-        hpm_period_s = target.hpm_period_s
-        if cfg.hpm_period_s is not None:
-            hpm_period_s = cfg.hpm_period_s
-        if measurement is not None and measurement.hpm_period_s:
-            hpm_period_s = measurement.hpm_period_s
-        rotation = cfg.hpm_rotation
-        if measurement is not None and measurement.hpm_rotation:
-            rotation = measurement.hpm_rotation
-        # The measurement-side seed: the experiment seed by default, a
-        # per-replicate derived seed when the uncertainty subsystem
-        # re-measures one artifact many times.  All measurement RNG
-        # streams (sense channels, noise model, multiplexing phase)
-        # derive from it with distinct offsets.
-        base_seed = cfg.seed
-        noise_cfg = None
-        if measurement is not None:
-            if measurement.measurement_seed is not None:
-                base_seed = measurement.measurement_seed
-            noise_cfg = measurement.noise
-        measurement_rng, noise = measurement_streams(base_seed, noise_cfg)
+        run, target, prepared = self.recording(sim)
+        knobs = MeasurementConfig.resolve(cfg, target, measurement)
         tracer = obs.tracer
-        # Both samplers look the same instants up in one prepared view
-        # of the recording.
-        prepared = PreparedTarget(run.timeline, target.port)
         with tracer.wall_span("daq-acquire"):
-            daq = DAQ(target, measurement_rng,
-                      sample_period_s=daq_period_s, obs=obs,
-                      noise=noise)
-            power = daq.acquire(prepared)
+            power, noise, mux_rng = acquire(target, prepared, knobs, obs)
         with tracer.wall_span("hpm-sample"):
-            if rotation:
-                # A noisy replicate draws its multiplexing phase
-                # alignment from the replicate's own stream; without a
-                # noise model the sampler keeps its historical
-                # timeline-derived determinism.
-                mux_rng = (
-                    np.random.default_rng(base_seed + 6700417)
-                    if noise is not None else None
-                )
+            if knobs.hpm_rotation:
                 sampler = MultiplexedHPMSampler(
-                    target, rotation=rotation, period_s=hpm_period_s,
-                    obs=obs, rng=mux_rng, noise=noise,
+                    target, rotation=knobs.hpm_rotation,
+                    period_s=knobs.hpm_period_s, obs=obs,
+                    rng=mux_rng, noise=noise,
                 )
             else:
                 sampler = HPMSampler(
-                    target, period_s=hpm_period_s, obs=obs, noise=noise
+                    target, period_s=knobs.hpm_period_s, obs=obs,
+                    noise=noise,
                 )
             perf = sampler.sample(prepared)
         with tracer.wall_span("decompose"):
@@ -370,30 +342,51 @@ class Experiment:
             breakdown=breakdown,
         )
 
-    def check_artifact(self, artifact):
-        """Refuse to measure an artifact recorded for a different
-        simulation identity — silently wrong numbers are worse than a
+    def recording(self, sim):
+        """``(ground-truth run, measurement target, prepared target)``
+        of a finished simulation.  An artifact of another simulation
+        identity is refused: silently wrong numbers are worse than a
         loud re-simulation."""
-        from repro.campaign.artifacts import sim_key
+        if isinstance(sim, SimulationArtifact):
+            from repro.campaign.artifacts import sim_key
 
-        expected = sim_key(self.config)
-        if artifact.sim_key != expected:
+            expected = sim_key(self.config)
+            if sim.sim_key != expected:
+                raise ConfigurationError(
+                    f"artifact {sim.sim_key[:12]} does not match this "
+                    f"config's simulation identity {expected[:12]} "
+                    f"(benchmark {sim.benchmark!r} on "
+                    f"{sim.vm_name}/{sim.platform_name})"
+                )
+            run = sim.run_result()
+        elif isinstance(sim, SimulationResult):
+            run = sim.run
+        else:
             raise ConfigurationError(
-                f"artifact {artifact.sim_key[:12]} does not match this "
-                f"config's simulation identity {expected[:12]} "
-                f"(benchmark {artifact.benchmark!r} on "
-                f"{artifact.vm_name}/{artifact.platform_name})"
+                "measurement takes a SimulationResult or "
+                f"SimulationArtifact, got {type(sim).__name__}"
             )
+        target = sim.measurement_target()
+        return run, target, PreparedTarget(run.timeline, target.port)
 
 
-def measurement_streams(seed, noise_config=None):
-    """``(measurement RNG, noise model or None)`` of one measurement
-    seed: the sense channels draw from ``default_rng(seed + 7919)``,
-    the noise model from ``seed + NOISE_SEED_OFFSET``."""
-    noise = None
-    if noise_config is not None and noise_config.enabled:
-        noise = NoiseModel.for_seed(noise_config, seed + NOISE_SEED_OFFSET)
-    return np.random.default_rng(seed + 7919), noise
+def acquire(target, prepared, knobs, obs, work=None):
+    """One DAQ pass over *prepared* under resolved *knobs*, into the
+    optional :class:`~repro.measurement.prepared.Workspace` *work*.
+
+    Returns ``(power trace, noise model, multiplexing rng)``: every
+    random stream of a measurement derives here from its seed.  The
+    last two are ``None`` without noise, where the multiplexed sampler
+    keeps its timeline-derived determinism.
+    """
+    seed = knobs.measurement_seed
+    noise = mux_rng = None
+    if knobs.noise is not None and knobs.noise.enabled:
+        noise = NoiseModel.for_seed(knobs.noise, seed + NOISE_SEED_OFFSET)
+        mux_rng = np.random.default_rng(seed + 6700417)
+    daq = DAQ(target, np.random.default_rng(seed + 7919),
+              sample_period_s=knobs.daq_period_s, obs=obs, noise=noise)
+    return daq.acquire(prepared, work=work), noise, mux_rng
 
 
 def run_experiment(benchmark, obs=None, **kwargs):

@@ -40,7 +40,6 @@ from repro.errors import ConfigurationError, MeasurementError
 from repro.jvm.vm import RunResult
 from repro.obs import NULL_OBS
 from repro.timeline import ExecutionTimeline
-from repro.units import DAQ_SAMPLE_PERIOD_S
 
 #: Schema tag on serialized artifacts; bump on incompatible layout
 #: changes so stale artifacts are rejected at load, not mis-measured.
@@ -53,11 +52,9 @@ class MeasurementConfig:
 
     These select how a finished execution is *observed* — they never
     change the execution itself, so any number of them can share one
-    :class:`SimulationArtifact`.  ``hpm_period_s`` of ``None`` means
-    "the platform's default period" (as overridden by the scenario's
-    ``hpm_period_s`` hardware override, which the artifact records);
-    ``hpm_rotation`` of ``None`` likewise defers to the experiment
-    config's rotation (itself ``None`` = the single-pass sampler).
+    :class:`SimulationArtifact`.  A knob left ``None`` defers to the
+    experiment config and then to the platform; :meth:`resolve` is the
+    one place that applies that precedence.
 
     The last two knobs belong to the uncertainty subsystem
     (:mod:`repro.analysis.uncertainty`): ``noise`` attaches a
@@ -65,18 +62,18 @@ class MeasurementConfig:
     measurement chain, and ``measurement_seed`` replaces the experiment
     seed in the measurement-side RNG derivations so one artifact can be
     re-measured under independent, exactly reproducible noise draws.
-    Both default to ``None``, which keeps measurement byte-identical to
-    the pre-uncertainty path.
+    Left ``None``, measurement stays byte-identical to the
+    pre-uncertainty path.
     """
 
-    daq_period_s: float = DAQ_SAMPLE_PERIOD_S
+    daq_period_s: Optional[float] = None
     hpm_period_s: Optional[float] = None
     hpm_rotation: Optional[tuple] = None
     noise: Optional[object] = None           # NoiseConfig
     measurement_seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.daq_period_s <= 0:
+        if self.daq_period_s is not None and self.daq_period_s <= 0:
             raise ConfigurationError("daq_period_s must be positive")
         if self.hpm_period_s is not None and self.hpm_period_s <= 0:
             raise ConfigurationError("hpm_period_s must be positive")
@@ -94,12 +91,19 @@ class MeasurementConfig:
         )
 
     @classmethod
-    def from_experiment(cls, config):
-        """The measurement subset of an ``ExperimentConfig``."""
+    def resolve(cls, config, target, override=None):
+        """The knobs one measurement of *config* runs under: each from
+        the *override* when it sets it, else from *config*, else from
+        the *target* platform's default (``noise`` stays optional)."""
+        o = override if override is not None else cls()
         return cls(
-            daq_period_s=config.daq_period_s,
-            hpm_period_s=getattr(config, "hpm_period_s", None),
-            hpm_rotation=getattr(config, "hpm_rotation", None),
+            daq_period_s=o.daq_period_s or config.daq_period_s,
+            hpm_period_s=(o.hpm_period_s or config.hpm_period_s
+                          or target.hpm_period_s),
+            hpm_rotation=o.hpm_rotation or config.hpm_rotation,
+            noise=o.noise,
+            measurement_seed=(config.seed if o.measurement_seed is None
+                              else o.measurement_seed),
         )
 
 

@@ -136,16 +136,10 @@ class BaseVM:
                 f"{self.name} supports {self.supported_collectors}, "
                 f"got {collector!r}"
             )
-        heap_bytes = int(heap_mb * MB) - self.vm_reserved_bytes
-        if heap_bytes < 2 * MB:
-            raise ConfigurationError(
-                f"heap of {heap_mb} MB leaves no room after the VM's "
-                f"{self.vm_reserved_bytes // MB} MB reservation"
-            )
         self.platform = platform
         self.collector_name = collector
         self.heap_mb = int(heap_mb)
-        self.heap_bytes = heap_bytes
+        self.heap_bytes = self.application_heap_bytes(heap_mb)
         self.seed = seed
         self.n_slices = n_slices
         #: Optional fixed DVFS operating point (paper Section VII lists
@@ -159,6 +153,18 @@ class BaseVM:
         #: the simulation, so a traced run is byte-identical to an
         #: untraced one.
         self.obs = obs if obs is not None else NULL_OBS
+
+    @classmethod
+    def application_heap_bytes(cls, heap_mb):
+        """What a *heap_mb* heap leaves the application after the VM's
+        reservation, which must be at least 2 MB."""
+        heap_bytes = int(heap_mb * MB) - cls.vm_reserved_bytes
+        if heap_bytes < 2 * MB:
+            raise ConfigurationError(
+                f"heap of {heap_mb} MB leaves no room after the VM's "
+                f"{cls.vm_reserved_bytes // MB} MB reservation"
+            )
+        return heap_bytes
 
     # -- public API ----------------------------------------------------
 

@@ -395,6 +395,15 @@ class ScenarioSpec:
         for heap in self.heap_mbs:
             if heap <= 0:
                 problems.append(f"heap_mb {heap} must be positive")
+                continue
+            for vm in known_vms:
+                # The VM's own rule (a plugin VM may not have one).
+                vm_class = registry.VMS.get(vm).obj
+                try:
+                    if hasattr(vm_class, "application_heap_bytes"):
+                        vm_class.application_heap_bytes(heap)
+                except ConfigurationError as exc:
+                    problems.append(f"vm {vm!r}: {exc}")
         for seed in self.seeds:
             if seed < 0:
                 problems.append(f"seed {seed} must be >= 0")

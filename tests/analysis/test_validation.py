@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.analysis.validation import (
-    AttributionReport,
-    attribution_error,
-)
+from repro.analysis.validation import AttributionReport
+from repro.core.experiment import Experiment, ExperimentConfig
+from repro.core.simulation import MeasurementConfig, SimulationResult
 from repro.hardware.platform import make_platform
 from repro.jvm.components import Component
 from repro.jvm.vm import JikesRVM
@@ -14,11 +13,22 @@ from tests.conftest import make_tiny_spec
 
 
 @pytest.fixture(scope="module")
-def run_and_platform():
+def attribution():
+    """``attribution(period_s)``: the attribution report of one
+    ``measure()`` of a single recorded run at that DAQ period."""
     platform = make_platform("p6")
     vm = JikesRVM(platform, heap_mb=24, seed=21, n_slices=40)
-    result = vm.run(make_tiny_spec())
-    return result, platform
+    run = vm.run(make_tiny_spec())
+    config = ExperimentConfig(benchmark=run.benchmark, heap_mb=24,
+                              seed=21, n_slices=40)
+    sim = SimulationResult(config=config, run=run, platform=platform)
+
+    def measure(period_s=40e-6):
+        return Experiment(config).measure(
+            sim, MeasurementConfig(daq_period_s=period_s)
+        ).attribution
+
+    return measure
 
 
 class TestReport:
@@ -51,29 +61,38 @@ class TestReport:
 
 
 class TestAttribution:
-    def test_40us_attribution_is_accurate(self, run_and_platform):
+    def test_40us_attribution_is_accurate(self, attribution):
         # The paper's claim: with component durations of hundreds of
         # microseconds, 40 us sampling captures the important behavior.
-        run, platform = run_and_platform
-        report = attribution_error(run, platform)
+        report = attribution()
         assert report.total_misattribution_fraction() < 0.05
         assert report.relative_error(Component.GC) < 0.15
 
-    def test_coarse_sampling_degrades_attribution(self,
-                                                  run_and_platform):
-        run, platform = run_and_platform
-        fine = attribution_error(run, platform,
-                                 sample_period_s=40e-6)
-        coarse = attribution_error(run, platform,
-                                   sample_period_s=10e-3)
+    def test_coarse_sampling_degrades_attribution(self, attribution):
+        fine = attribution(40e-6)
+        coarse = attribution(10e-3)
         assert (
             coarse.total_misattribution_fraction()
             > fine.total_misattribution_fraction()
         )
 
-    def test_total_energy_conserved(self, run_and_platform):
-        run, platform = run_and_platform
-        report = attribution_error(run, platform)
+    def test_total_energy_conserved(self, attribution):
+        report = attribution()
         assert sum(report.measured_energy_j.values()) == pytest.approx(
             sum(report.true_energy_j.values()), rel=0.02
         )
+
+
+class TestResultAttribution:
+    def test_report_is_the_measurements_own(self):
+        from repro.core.experiment import run_experiment
+        from repro.export import result_to_dict
+
+        result = run_experiment("_202_jess", heap_mb=32, input_scale=0.1)
+        report = result.attribution
+        assert report is result.attribution  # memoized
+        assert report.sample_period_s == result.config.daq_period_s
+        assert report.measured_energy_j == (
+            result.power.component_cpu_energy_j()
+        )
+        assert "attribution" not in result_to_dict(result)

@@ -123,7 +123,9 @@ class TestDegradation:
         result = run_campaign(cells, workers=2, retries=1)
         assert result.summary.n_ok == 2
         bad = result.failed_cells()[0]
-        assert bad.attempts == 2  # original try + one retry
+        # An unknown benchmark fails the same way every time, so the
+        # retry budget is not spent on it.
+        assert bad.attempts == 1
 
     def test_oom_is_a_successful_outcome(self):
         cells = [ExperimentConfig(benchmark="_213_javac", heap_mb=8,
@@ -147,6 +149,16 @@ class TestDegradation:
         assert not bad.ok
         assert bad.error_type == "CellTimeoutError"
         assert "budget" in bad.error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_timed_out_cell_is_retried(self, workers):
+        cells = [ExperimentConfig(benchmark="_201_compress",
+                                  heap_mb=64)]
+        result = run_campaign(cells, workers=workers, retries=1,
+                              timeout_s=1e-3)
+        (bad,) = result.cells
+        assert bad.error_type == "CellTimeoutError"
+        assert bad.attempts == 2  # original try + one retry
 
     def test_failed_cells_never_cached(self, tmp_path):
         cells = [ExperimentConfig(benchmark="no_such_benchmark")]

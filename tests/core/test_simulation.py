@@ -16,6 +16,7 @@ from repro.core.experiment import Experiment, ExperimentConfig
 from repro.core.simulation import (
     ARTIFACT_SCHEMA,
     MeasurementConfig,
+    MeasurementTarget,
     SimulationArtifact,
     SimulationResult,
     simulate,
@@ -26,6 +27,8 @@ from repro.errors import (
     TimelineError,
 )
 from repro.export import result_to_cell_dict
+from repro.measurement.multiplexing import ROTATIONS
+from repro.measurement.noise import DEFAULT_NOISE
 from repro.timeline import COLUMNS_SCHEMA, ExecutionTimeline, Segment
 
 # The two reference cells named by the acceptance criteria: the P6
@@ -222,3 +225,45 @@ class TestMeasureGuards:
             MeasurementConfig(daq_period_s=0.0)
         with pytest.raises(ConfigurationError):
             MeasurementConfig(daq_period_s=-1e-6)
+
+
+class TestResolve:
+    """MeasurementConfig.resolve: override > experiment config >
+    platform default, knob by knob."""
+
+    TARGET = MeasurementTarget(name="p6", hpm_period_s=1e-3, port=None)
+
+    def test_defaults_come_from_config_and_platform(self):
+        config = ExperimentConfig("_202_jess", seed=7,
+                                  daq_period_s=2e-4)
+        knobs = MeasurementConfig.resolve(config, self.TARGET)
+        assert knobs == MeasurementConfig(
+            daq_period_s=2e-4, hpm_period_s=1e-3, measurement_seed=7,
+        )
+
+    def test_config_beats_platform(self):
+        config = ExperimentConfig("_202_jess", hpm_period_s=5e-3,
+                                  hpm_rotation="resident")
+        knobs = MeasurementConfig.resolve(config, self.TARGET)
+        assert knobs.hpm_period_s == 5e-3
+        assert knobs.hpm_rotation == ROTATIONS["resident"]
+
+    def test_override_beats_config(self):
+        config = ExperimentConfig("_202_jess", seed=7, daq_period_s=2e-4,
+                                  hpm_period_s=5e-3,
+                                  hpm_rotation="resident")
+        override = MeasurementConfig(
+            daq_period_s=1e-3, hpm_period_s=2e-3,
+            hpm_rotation="round-robin", noise=DEFAULT_NOISE,
+            measurement_seed=0,
+        )
+        knobs = MeasurementConfig.resolve(config, self.TARGET, override)
+        assert knobs == override
+
+    def test_unset_override_knobs_defer(self):
+        config = ExperimentConfig("_202_jess", seed=7, daq_period_s=2e-4)
+        override = MeasurementConfig(measurement_seed=11)
+        knobs = MeasurementConfig.resolve(config, self.TARGET, override)
+        assert (knobs.daq_period_s, knobs.hpm_period_s) == (2e-4, 1e-3)
+        assert knobs.measurement_seed == 11
+        assert knobs.noise is None

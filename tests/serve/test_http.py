@@ -82,6 +82,14 @@ class TestRoutes:
         problems = excinfo.value.body["problems"]
         assert len(problems) == 3
 
+    def test_heap_below_vm_reservation_400(self, client):
+        body = json.dumps({"benchmark": "_202_jess", "heap_mb": 4})
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit_bytes(body, fmt="json")
+        assert excinfo.value.status == 400
+        (problem,) = excinfo.value.body["problems"]
+        assert "6 MB reservation" in problem
+
     def test_submit_poll_fetch_cycle(self, client):
         job = client.submit_bytes(SPEC_TOML, fmt="toml")
         assert job["outcome"] in ("queued", "cached")

@@ -85,6 +85,33 @@ class TestCommands:
         assert "steady" in out
 
 
+class TestErrors:
+    """A cell the simulator rejects ends in one stderr line, rc 1."""
+
+    def _one_line(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        return line
+
+    def test_out_of_memory_run(self, capsys):
+        line = self._one_line(capsys, [
+            "run", "_202_jess", "--heap", "9", "--collector",
+            "SemiSpace", "--input-scale", "0.1",
+        ])
+        assert line.startswith("repro run: OutOfMemoryError: ")
+
+    def test_heap_below_vm_reservation_sweep(self, capsys):
+        line = self._one_line(capsys, [
+            "sweep", "_202_jess", "--collectors", "SemiSpace",
+            "--heaps", "4", "--input-scale", "0.1",
+        ])
+        assert line.startswith("repro sweep: CampaignError: ")
+        assert "[ConfigurationError]" in line
+        assert "reservation" in line
+
+
 class TestObservabilityFlags:
     def test_run_accepts_trace_and_metrics(self):
         args = build_parser().parse_args([

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.analysis.pauses import pause_stats
-from repro.analysis.validation import attribution_error
 from repro.cli import main
 from repro.core.experiment import Experiment
+from repro.core.simulation import MeasurementConfig
 from repro.jvm.components import Component
 from repro.spec import ScenarioSpec
 
@@ -65,8 +65,9 @@ class TestSpecRunSection:
                      "--periods", "40", "1000"]) == 0
         rows = capsys.readouterr().out.splitlines()[3:]
         for row, period_us in zip(rows, (40, 1000), strict=True):
-            report = attribution_error(sim.run, sim.platform,
-                                       sample_period_s=period_us * 1e-6)
+            report = Experiment(sim.config).measure(
+                sim, MeasurementConfig(daq_period_s=period_us * 1e-6)
+            ).attribution
             assert row.split() == [
                 str(period_us),
                 f"{100 * report.total_misattribution_fraction():.2f}",
@@ -135,6 +136,42 @@ class TestOverheadCommand:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "(store," in out
+
+    def test_one_acquisition_per_period(self, tmp_path, monkeypatch):
+        # Each row's error columns come from the acquisition measure()
+        # made for that row, not from a second DAQ pass.
+        from repro.measurement.daq import DAQ
+
+        acquired = []
+        results = []
+        acquire, measure = DAQ.acquire, Experiment.measure
+
+        def counting_acquire(daq, *args, **kwargs):
+            acquired.append(daq.sample_period_s)
+            return acquire(daq, *args, **kwargs)
+
+        def recording_measure(experiment, *args, **kwargs):
+            results.append(measure(experiment, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(DAQ, "acquire", counting_acquire)
+        monkeypatch.setattr(Experiment, "measure", recording_measure)
+        out = tmp_path / "frontier.json"
+        assert main([
+            "overhead", "--heap", "24", "--input-scale", "0.1",
+            "--periods", "40", "200", "1000", "10000",
+            "--no-artifacts", "--output", str(out),
+        ]) == 0
+        assert acquired == pytest.approx([40e-6, 200e-6, 1e-3, 1e-2])
+        points = json.loads(out.read_text())["points"]
+        for point, result in zip(points, results, strict=True):
+            report = result.attribution
+            assert point["misattributed_pct"] == (
+                100 * report.total_misattribution_fraction()
+            )
+            assert point["gc_error_pct"] == (
+                100 * report.relative_error(Component.GC)
+            )
 
     def test_no_artifacts_flag(self, capsys):
         assert main([

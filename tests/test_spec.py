@@ -413,6 +413,19 @@ class TestCollectAndReport:
         assert problems == spec.problems()
         assert len(problems) >= 3
 
+    def test_heap_below_vm_reservation_is_a_problem(self):
+        # Jikes reserves 6 MB of the heap, Kaffe 2 MB: a 4 MB heap
+        # leaves Jikes nothing and Kaffe just enough.
+        spec = ScenarioSpec(benchmarks=("_202_jess",), heap_mbs=(4,),
+                            vms=("jikes", "kaffe"))
+        assert spec.problems() == [
+            "vm 'jikes': heap of 4 MB leaves no room after the VM's "
+            "6 MB reservation"
+        ]
+        kaffe = ScenarioSpec(benchmarks=("_202_jess",), heap_mbs=(4,),
+                             vms=("kaffe",))
+        assert kaffe.problems() == []
+
     def test_validation_error_is_configuration_error(self):
         from repro.errors import SpecValidationError
 
@@ -447,3 +460,14 @@ class TestCollectAndReport:
         lines = [l for l in err.splitlines() if "INVALID" in l]
         assert len(lines) == 3
         assert all(str(bad) in l for l in lines)
+
+    def test_cli_spec_validate_rejects_heap_below_reservation(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        bad = tmp_path / "small-heap.toml"
+        bad.write_text('[axes]\nbenchmark = "_202_jess"\nheap_mb = 4\n')
+        assert main(["spec", "validate", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "ok" not in captured.out
+        assert f"{bad}: INVALID vm 'jikes': heap of 4 MB" in captured.err
