@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.campaign import CampaignRunner
+from repro.campaign import CampaignRunner, ResultCache
 from repro.jvm.components import Component
 from repro.spec import ScenarioSpec
 
@@ -161,7 +161,8 @@ class ExperimentCache:
     def __init__(self, workers=WORKERS, cache_dir=CACHE_DIR):
         self._records = {}
         self._runner = CampaignRunner(
-            workers=workers, cache_dir=cache_dir, retries=1,
+            workers=workers, retries=1,
+            cache=ResultCache(cache_dir) if cache_dir is not None else None,
         )
 
     def get_many(self, configs):

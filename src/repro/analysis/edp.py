@@ -105,7 +105,7 @@ def edp_sweep(benchmarks, collectors, heaps, vm="jikes", platform="p6",
         dvfs_freq_scales=(dvfs_freq_scale,),
     )
     sweep = EDPSweep()
-    for cell in CampaignRunner(retries=0).run(spec.campaign_config()):
+    for cell in CampaignRunner(retries=0).run(spec.cells()):
         cfg = cell.config
         if not cell.ok:
             raise CampaignError(

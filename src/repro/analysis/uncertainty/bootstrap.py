@@ -12,7 +12,7 @@ result is an :class:`UncertaintyReport` — per-quantity
 the artifact carries exact ground truth, per-interval coverage.
 
 Replicate seeds are *derived*, never sequential: the same versioned
-sha256 scheme as :func:`repro.campaign.grid.derive_cell_seed`, over
+sha256 scheme as :func:`repro.spec.derive_cell_seed`, over
 (base seed, replicate index, role).  Changing N never reshuffles the
 seeds of existing replicates, so an N=64 report extends an N=32 one
 rather than replacing it, and thread- or process-parallel replicate
@@ -45,7 +45,7 @@ def derive_replicate_seed(base_seed, replicate, role="measure",
                           version=REPLICATE_SEED_VERSION):
     """Stable per-replicate seed from the replicate's identity.
 
-    Mirrors :func:`repro.campaign.grid.derive_cell_seed`: sha256 over
+    Mirrors :func:`repro.spec.derive_cell_seed`: sha256 over
     the identity parts, first four digest bytes as the seed.  The
     ``role`` part keeps independent uses of the scheme (measurement
     noise vs. any future resampling role) in disjoint streams.

@@ -1,53 +1,46 @@
 """Campaign subsystem: parallel, cached experiment matrices.
 
 The paper's results come from a *matrix* of runs (benchmarks x VMs x
-platforms x heap sizes x collectors); this package turns a declarative
-:class:`CampaignConfig` into individual
-:class:`~repro.core.experiment.ExperimentConfig` cells, executes them on
-a process pool with per-cell timeout, bounded retry and graceful
-degradation, and memoizes each cell's summary in a content-addressed
-on-disk cache so repeated figure/benchmark runs only pay for new cells.
+platforms x heap sizes x collectors).  A
+:class:`~repro.spec.ScenarioSpec` describes that matrix and expands it
+into :class:`~repro.core.experiment.ExperimentConfig` cells
+(:meth:`~repro.spec.ScenarioSpec.cells`); this package executes the
+cells on a process pool with per-cell timeout, bounded retry and
+graceful degradation, and memoizes each cell's summary in a
+content-addressed on-disk cache so repeated figure/benchmark runs only
+pay for new cells.
 
 Quickstart::
 
-    from repro.campaign import CampaignConfig, CampaignRunner
+    from repro.campaign import CampaignRunner, ResultCache
+    from repro.spec import ScenarioSpec
 
-    campaign = CampaignConfig(
+    spec = ScenarioSpec(
         benchmarks=("_202_jess", "_209_db"),
         collectors=("SemiSpace", "GenCopy"),
         heap_mbs=(32, 64),
     )
-    outcome = CampaignRunner(workers=4, cache_dir=".repro-cache")
-    result = outcome.run(campaign)
+    runner = CampaignRunner(workers=4, cache=ResultCache(".repro-cache"))
+    result = runner.run(spec.cells())
     print(result.summary.describe())
 """
 
 from repro.campaign.artifacts import ArtifactStore, sim_key
 from repro.campaign.cache import ResultCache, config_key
-from repro.campaign.grid import (
-    CampaignConfig,
-    derive_cell_seed,
-    expand_grid,
-)
 from repro.campaign.runner import (
     CampaignResult,
     CampaignRunner,
     CampaignSummary,
     CellResult,
-    run_campaign,
 )
 
 __all__ = [
     "ArtifactStore",
-    "CampaignConfig",
     "CampaignResult",
     "CampaignRunner",
     "CampaignSummary",
     "CellResult",
     "ResultCache",
     "config_key",
-    "derive_cell_seed",
-    "expand_grid",
-    "run_campaign",
     "sim_key",
 ]

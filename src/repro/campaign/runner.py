@@ -45,8 +45,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.campaign.cache import ResultCache
-from repro.campaign.grid import CampaignConfig
 from repro.errors import (
     CampaignError,
     CellTimeoutError,
@@ -431,17 +429,15 @@ class CampaignResult:
 class CampaignRunner:
     """Executes campaigns: cache lookup, process pool, retry, metrics."""
 
-    def __init__(self, workers=1, cache_dir=None, timeout_s=None,
+    def __init__(self, workers=1, cache=None, timeout_s=None,
                  retries=1, progress=None, obs=None, trace_dir=None,
-                 cache=None, artifact_dir=None):
+                 artifact_dir=None):
         if workers < 1:
             raise CampaignError("workers must be >= 1")
         if retries < 0:
             raise CampaignError("retries cannot be negative")
         if timeout_s is not None and timeout_s <= 0:
             raise CampaignError("timeout_s must be positive")
-        if cache is not None and cache_dir is not None:
-            raise CampaignError("give either cache or cache_dir, not both")
         self.workers = int(workers)
         #: When set, simulation artifacts persist under this directory
         #: (content-addressed by sim-key) and are shared across
@@ -450,15 +446,10 @@ class CampaignRunner:
         self.artifact_dir = (
             str(artifact_dir) if artifact_dir is not None else None
         )
-        if cache is not None:
-            # A shared ResultCache instance — the experiment service
-            # runs many campaigns against one cache so hit/miss counts
-            # aggregate across jobs.
-            self.cache = cache
-        else:
-            self.cache = (
-                ResultCache(cache_dir) if cache_dir is not None else None
-            )
+        #: The cell cache (a :class:`~repro.campaign.cache.ResultCache`
+        #: or ``None``).  The experiment service shares one instance
+        #: across its campaigns so hit/miss counts aggregate across jobs.
+        self.cache = cache
         self.timeout_s = timeout_s
         self.retries = int(retries)
         self.progress = progress
@@ -472,17 +463,14 @@ class CampaignRunner:
 
     # -- public API ---------------------------------------------------
 
-    def run(self, campaign):
-        """Run *campaign* (a :class:`CampaignConfig` or an explicit
-        sequence of :class:`ExperimentConfig` cells); returns a
-        :class:`CampaignResult` with one :class:`CellResult` per cell,
-        in grid order."""
-        if isinstance(campaign, CampaignConfig):
-            cells = campaign.cells()
-        else:
-            cells = list(campaign)
-            if not cells:
-                raise CampaignError("campaign has no cells")
+    def run(self, cells):
+        """Run a sequence of :class:`ExperimentConfig` *cells* (as
+        :meth:`ScenarioSpec.cells <repro.spec.ScenarioSpec.cells>`
+        expands them); returns a :class:`CampaignResult` with one
+        :class:`CellResult` per cell, in order."""
+        cells = list(cells)
+        if not cells:
+            raise CampaignError("campaign has no cells")
         if self.trace_dir is not None:
             self.trace_dir.mkdir(parents=True, exist_ok=True)
         log = self.obs.log
@@ -742,13 +730,3 @@ class CampaignRunner:
         if self.progress is not None:
             self.progress(index, total, cell)
 
-
-def run_campaign(campaign, workers=1, cache_dir=None, timeout_s=None,
-                 retries=1, progress=None, obs=None, trace_dir=None,
-                 artifact_dir=None):
-    """One-call convenience wrapper around :class:`CampaignRunner`."""
-    return CampaignRunner(
-        workers=workers, cache_dir=cache_dir, timeout_s=timeout_s,
-        retries=retries, progress=progress, obs=obs,
-        trace_dir=trace_dir, artifact_dir=artifact_dir,
-    ).run(campaign)

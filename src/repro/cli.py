@@ -346,7 +346,7 @@ def cmd_export(args):
 def cmd_campaign(args):
     import json
 
-    from repro.campaign import CampaignRunner
+    from repro.campaign import CampaignRunner, ResultCache
     from repro.campaign.cache import default_cache_dir
 
     if args.spec:
@@ -362,25 +362,21 @@ def cmd_campaign(args):
             print("repro campaign: name benchmarks with --benchmarks "
                   "or pass --spec", file=sys.stderr)
             return 2
-        collectors = tuple(
-            None if c in ("default", "none") else c
-            for c in args.collectors
-        )
         spec = ScenarioSpec(
             benchmarks=tuple(args.benchmarks),
             vms=tuple(args.vms),
             platforms=tuple(args.platforms),
-            collectors=collectors,
+            collectors=tuple(args.collectors),
             heap_mbs=tuple(args.heaps),
             seeds=tuple(args.seeds),
             input_scales=(args.input_scale,),
             derive_seeds=args.derive_seeds,
             version=1,
         )
-    campaign = spec.campaign_config()
+    cells = spec.cells()
     print(f"scenario {spec.name or '(unnamed)'} "
           f"spec-hash {spec.spec_hash()[:16]} "
-          f"({len(campaign.cells())} cells)")
+          f"({len(cells)} cells)")
     cache_dir = None if args.no_cache else (
         args.cache_dir or default_cache_dir()
     )
@@ -402,7 +398,7 @@ def cmd_campaign(args):
 
     runner = CampaignRunner(
         workers=args.workers,
-        cache_dir=cache_dir,
+        cache=ResultCache(cache_dir) if cache_dir is not None else None,
         timeout_s=args.timeout,
         retries=args.retries,
         progress=progress,
@@ -410,7 +406,7 @@ def cmd_campaign(args):
         trace_dir=args.trace_dir,
         artifact_dir=args.artifact_dir,
     )
-    result = runner.run(campaign)
+    result = runner.run(cells)
     print()
     print(result.summary.describe())
     if cache_dir is not None:

@@ -361,8 +361,8 @@ def simulate(config, obs=None):
     tracer = obs.tracer
     with tracer.wall_span("setup"):
         # Builders live in the scenario layer (imported lazily:
-        # repro.spec imports repro.campaign.grid, which imports the
-        # experiment config this module serves).
+        # repro.spec imports the experiment config this module
+        # serves).
         from repro.spec import build_platform, build_vm
 
         platform = build_platform(config)

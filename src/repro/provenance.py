@@ -80,7 +80,7 @@ def current_stamp():
     """The identity of the running code, as recorded in envelopes."""
     from repro import __version__
     from repro.campaign.cache import CACHE_VERSION
-    from repro.campaign.grid import SEED_DERIVATION_VERSION
+    from repro.spec import SEED_DERIVATION_VERSION
 
     return {
         "code_digest": code_digest(),
@@ -317,7 +317,7 @@ class ReplayReport:
         return line
 
 
-def replay_result(stored_bytes, key="", workers=1, runner_factory=None):
+def replay_result(stored_bytes, key="", workers=1):
     """Re-execute a stored result document and byte-diff the replay.
 
     *stored_bytes* are the exact bytes the store serves.  The embedded
@@ -328,6 +328,7 @@ def replay_result(stored_bytes, key="", workers=1, runner_factory=None):
     ``drifted`` (field-level diff attached), or ``unreplayable``
     (missing/invalid spec, failed cells).
     """
+    from repro.campaign.runner import CampaignRunner
     from repro.errors import ReproError
     from repro.serve.pool import build_result_payload, encode_result
     from repro.spec import ScenarioSpec
@@ -354,12 +355,8 @@ def replay_result(stored_bytes, key="", workers=1, runner_factory=None):
     except ReproError as exc:
         return report(UNREPLAYABLE, f"embedded spec no longer valid: "
                                     f"{exc}")
-    if runner_factory is None:
-        from repro.campaign.runner import CampaignRunner as runner_factory
     try:
-        result = runner_factory(workers=workers).run(
-            spec.campaign_config()
-        )
+        result = CampaignRunner(workers=workers).run(spec.cells())
     except ReproError as exc:
         return report(UNREPLAYABLE, f"replay run failed: {exc}")
     failed = result.failed_cells()

@@ -44,12 +44,6 @@ from repro.serve.lease import DEFAULT_LEASE_TTL_S, try_acquire
 #: How the service runs jobs; ``repro serve --worker-mode``.
 WORKER_MODES = ("thread", "process")
 
-#: Schema tag of the envelope that crosses the worker-process
-#: boundary: the spec dict plus the optional trace context.  Distinct
-#: from the spec's own ``schema`` field, so a legacy plain spec dict
-#: (older client, mixed-version fleet) is still recognized.
-ENVELOPE_SCHEMA = "repro-job-envelope-v1"
-
 #: Default bound on waiting for a peer's lease to resolve.
 DEFAULT_LEASE_WAIT_S = 600.0
 
@@ -229,7 +223,7 @@ def _run_under_lease(spec, job_id, results, cell_cache, cell_workers,
             kwargs["obs"] = _traced_runner_obs(obs, local_tracer)
         elif obs is not None:
             kwargs["obs"] = obs
-        result = make_runner(**kwargs).run(spec.campaign_config())
+        result = make_runner(**kwargs).run(spec.cells())
         if local_tracer is not None:
             recorder.extend_from_tracer(local_tracer)
         failed = result.failed_cells()
@@ -312,27 +306,21 @@ class ThreadWorkerPool:
         pass
 
 
-def _process_job_main(payload, opts):
-    """Worker-process entry point: rebuild the spec and stores from
-    plain data, execute under the lease, fold everything into the
-    outcome dict (no exception crosses the process boundary).
+def _process_job_main(spec_dict, trace, opts):
+    """Worker-process entry point: rebuild the spec, trace context and
+    stores from plain data, execute under the lease, fold everything
+    into the outcome dict (no exception crosses the process boundary).
 
-    *payload* is either a ``repro-job-envelope-v1`` dict (spec dict
-    plus optional trace context) or — for compatibility with anything
-    still submitting plain spec dicts — the spec dict itself.
+    *spec_dict* is :meth:`ScenarioSpec.to_dict`; *trace* is
+    :meth:`TraceContext.to_dict` or ``None`` when the job is untraced.
     """
     try:
         from repro.campaign.cache import ResultCache
         from repro.serve.store import ResultStore
         from repro.spec import ScenarioSpec
 
-        trace_ctx = None
-        spec_dict = payload
-        if (isinstance(payload, dict)
-                and payload.get("schema") == ENVELOPE_SCHEMA):
-            spec_dict = payload["spec"]
-            trace_ctx = TraceContext.from_dict(payload.get("trace"))
         spec = ScenarioSpec.from_dict(spec_dict, source="worker job")
+        trace_ctx = TraceContext.from_dict(trace)
         results = ResultStore(opts["result_dir"],
                               shards=opts["store_shards"])
         cache = (ResultCache(opts["cache_dir"])
@@ -407,15 +395,12 @@ class ProcessWorkerPool:
         if pool is None:
             return _failed("worker pool is not running",
                            "PoolShutdown")
-        payload = spec.to_dict()
-        if trace_ctx is not None:
-            # The trace context rides in an envelope *around* the spec
-            # dict — never inside it, so the spec hash (and therefore
-            # the result bytes) are identical traced or not.
-            payload = {"schema": ENVELOPE_SCHEMA, "spec": payload,
-                       "trace": trace_ctx.to_dict()}
+        # The trace context travels beside the spec dict, never inside
+        # it, so the spec hash (and so the result bytes) are identical
+        # traced or not.
+        trace = trace_ctx.to_dict() if trace_ctx is not None else None
         try:
-            future = pool.submit(_process_job_main, payload,
+            future = pool.submit(_process_job_main, spec.to_dict(), trace,
                                  self._opts)
             return future.result()
         except BrokenProcessPool:

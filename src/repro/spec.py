@@ -11,8 +11,9 @@ constant overrides.  Every layer builds from it:
   flag-based path is a thin adapter that builds the same spec
   (:meth:`ScenarioSpec.for_experiment`), so both paths are provably
   identical;
-* :meth:`ScenarioSpec.campaign_config` / :meth:`experiment_config`
-  produce the existing config dataclasses;
+* :meth:`ScenarioSpec.cells` expands the matrix into
+  :class:`~repro.core.experiment.ExperimentConfig` cells (and
+  :meth:`~ScenarioSpec.experiment_config` is its one-cell case);
 * :func:`build_platform` / :func:`build_vm` construct the simulated
   hardware and VM for a cell through the component registries.
 
@@ -61,10 +62,11 @@ accepted for every axis and normalized to one-element tuples.
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
 
 from repro import registry
-from repro.campaign.grid import CampaignConfig
+from repro.core.experiment import ExperimentConfig
 from repro.errors import ConfigurationError, SpecValidationError
 from repro.hardware.platform import (
     make_platform,
@@ -76,10 +78,64 @@ from repro.measurement.multiplexing import resolve_rotation
 from repro.units import DAQ_SAMPLE_PERIOD_S
 
 #: Current scenario schema version.  Version 1 keeps the legacy
-#: derived-seed identity (see
-#: :func:`repro.campaign.grid.derive_cell_seed`); version 2 hashes the
-#: full cell identity.
+#: derived-seed identity (see :func:`derive_cell_seed`); version 2
+#: hashes the full cell identity.
 SPEC_VERSION = 2
+
+#: Newest seed-derivation schema :func:`derive_cell_seed` implements.
+#: Version 1 hashes the legacy axes only; version 2 (the scenario-spec
+#: default) extends the identity with input scale, DAQ period, DVFS
+#: point, and hardware overrides.  Recorded in provenance envelopes
+#: (:mod:`repro.provenance`) so a stored result remembers which
+#: derivation rules produced its cells.
+SEED_DERIVATION_VERSION = 2
+
+
+def derive_cell_seed(base_seed, benchmark, vm, platform, collector,
+                     heap_mb, input_scale=1.0,
+                     daq_period_s=DAQ_SAMPLE_PERIOD_S,
+                     dvfs_freq_scale=None, overrides=(),
+                     hpm_period_s=None, hpm_rotation=None,
+                     spec_version=1):
+    """Stable per-cell seed derived from the cell's identity.
+
+    Unlike seeding by grid position, adding or removing axis values
+    never shifts the seed of an unrelated cell, so previously cached
+    results stay valid as a campaign grows.
+
+    ``spec_version`` gates the identity: version 1 reproduces the
+    historical hash over (seed, benchmark, vm, platform, collector,
+    heap) so existing cache entries keep their keys; version 2 (the
+    scenario-spec default) extends it with the newly sweepable axes —
+    input scale, DAQ period, DVFS point, hardware overrides — so cells
+    differing only in those never share a derived seed.  The HPM
+    measurement axes (``hpm_period_s``/``hpm_rotation``) joined v2
+    later, so their parts are appended only away from their ``None``
+    defaults — cells that don't sweep them keep their existing derived
+    seeds.
+    """
+    parts = [
+        str(base_seed), benchmark, vm, platform, str(collector),
+        str(heap_mb),
+    ]
+    if spec_version >= 2:
+        parts += [
+            repr(float(input_scale)),
+            repr(float(daq_period_s)),
+            repr(None if dvfs_freq_scale is None
+                 else float(dvfs_freq_scale)),
+            repr(tuple(overrides)),
+        ]
+        if hpm_period_s is not None:
+            parts.append("hpm_period_s=" + repr(float(hpm_period_s)))
+        if hpm_rotation is not None:
+            parts.append(
+                "hpm_rotation="
+                + repr(tuple(tuple(g) for g in hpm_rotation))
+            )
+    digest = hashlib.sha256("|".join(parts).encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "big")
+
 
 def _coerce_rotation(value):
     """Canonicalize one rotation-axis element.
@@ -96,19 +152,40 @@ def _coerce_rotation(value):
         raise ValueError(str(exc)) from None
 
 
+def _number(value):
+    """A numeric axis element, kept as given (so its canonical form,
+    and with it the spec hash, is unchanged)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return value
+
+
+def _nullable(coerce):
+    """Element coercion for an axis where ``None`` means "the
+    default", spelled ``"default"`` or ``"none"`` in TOML."""
+    def element(value):
+        if value is None or (isinstance(value, str)
+                             and value.lower() in ("default", "none")):
+            return None
+        return coerce(value)
+    return element
+
+
 #: Axis fields, their singular spellings, and element coercions.
+#: Only the axes whose ``None`` means something accept the sentinels;
+#: on any other axis they are malformed values.
 _AXES = {
     "benchmarks": ("benchmark", str),
     "vms": ("vm", str),
     "platforms": ("platform", str),
-    "collectors": ("collector", lambda v: v),
+    "collectors": ("collector", _nullable(lambda v: v)),
     "heap_mbs": ("heap_mb", int),
     "seeds": ("seed", int),
     "input_scales": ("input_scale", float),
     "daq_periods_s": ("daq_period_s", float),
-    "dvfs_freq_scales": ("dvfs_freq_scale", lambda v: v),
-    "hpm_periods_s": ("hpm_period_s", float),
-    "hpm_rotations": ("hpm_rotation", _coerce_rotation),
+    "dvfs_freq_scales": ("dvfs_freq_scale", _nullable(_number)),
+    "hpm_periods_s": ("hpm_period_s", _nullable(float)),
+    "hpm_rotations": ("hpm_rotation", _nullable(_coerce_rotation)),
 }
 
 #: Axes added after the v2 spec schema shipped, with the defaults under
@@ -124,13 +201,6 @@ _POST_V2_AXIS_DEFAULTS = {
 #: Scalar run-parameter fields.
 _RUN_FIELDS = ("warmup", "repetitions", "fan_enabled", "n_slices",
                "derive_seeds")
-
-
-def _sentinel_none(value):
-    """Map the TOML-friendly spellings of "no value" to ``None``."""
-    if isinstance(value, str) and value.lower() in ("default", "none"):
-        return None
-    return value
 
 
 @dataclass(frozen=True)
@@ -167,19 +237,12 @@ class ScenarioSpec:
             value = getattr(self, axis)
             if isinstance(value, (str, int, float)) or value is None:
                 value = (value,)
-            value = tuple(
-                _sentinel_none(v) if v is None or isinstance(v, str)
-                else v
-                for v in value
-            )
+            value = tuple(value)
             try:
-                value = tuple(
-                    v if v is None else coerce(v) for v in value
-                )
+                value = tuple(coerce(v) for v in value)
             except (TypeError, ValueError):
                 problems.append(
-                    f"{axis} has a malformed value in "
-                    f"{tuple(value)!r}"
+                    f"{axis} has a malformed value in {value!r}"
                 )
                 continue
             if not value:
@@ -498,43 +561,65 @@ class ScenarioSpec:
 
     # -- builders ------------------------------------------------------
 
-    def campaign_config(self):
-        """The spec as a :class:`~repro.campaign.grid.CampaignConfig`."""
-        return CampaignConfig(
-            benchmarks=self.benchmarks,
-            vms=self.vms,
-            platforms=self.platforms,
-            collectors=self.collectors,
-            heap_mbs=self.heap_mbs,
-            seeds=self.seeds,
-            input_scale=self.input_scales[0],
-            warmup=self.warmup,
-            repetitions=self.repetitions,
-            fan_enabled=self.fan_enabled,
-            n_slices=self.n_slices,
-            daq_period_s=self.daq_periods_s[0],
-            dvfs_freq_scale=self.dvfs_freq_scales[0],
-            derive_seeds=self.derive_seeds,
-            input_scales=self.input_scales,
-            daq_periods_s=self.daq_periods_s,
-            dvfs_freq_scales=self.dvfs_freq_scales,
-            hpm_period_s=self.hpm_periods_s[0],
-            hpm_rotation=self.hpm_rotations[0],
-            hpm_periods_s=self.hpm_periods_s,
-            hpm_rotations=self.hpm_rotations,
-            overrides=self.overrides,
-            spec_version=self.version,
-        )
-
     def cells(self):
-        """Expanded :class:`ExperimentConfig` cells, in grid order."""
-        return self.campaign_config().cells()
+        """The matrix as :class:`ExperimentConfig` cells, in grid order.
 
-    @property
-    def is_single_cell(self):
-        return all(
-            len(getattr(self, axis)) == 1 for axis in _AXES
-        )
+        Grid order is the deterministic cross product (benchmark, vm,
+        platform, collector, heap, seed, input scale, DAQ period, DVFS
+        point, HPM period, HPM rotation).  VM/collector pairs the VMs
+        cannot run (a Jikes-only collector under Kaffe and vice versa,
+        per :func:`repro.registry.collector_supported`) are skipped, as
+        the paper's tables simply have no such column.  With
+        ``derive_seeds`` each cell's seed is :func:`derive_cell_seed`
+        of its base seed and identity under the spec's ``version``.
+        """
+        cells = []
+        for (bench, vm, platform, collector, heap, seed, input_scale,
+             daq_period, dvfs, hpm_period, hpm_rotation) in product(
+            self.benchmarks, self.vms, self.platforms, self.collectors,
+            self.heap_mbs, self.seeds, self.input_scales,
+            self.daq_periods_s, self.dvfs_freq_scales,
+            self.hpm_periods_s, self.hpm_rotations,
+        ):
+            if not registry.collector_supported(vm, collector):
+                continue
+            if self.derive_seeds:
+                seed = derive_cell_seed(
+                    seed, bench, vm, platform, collector, heap,
+                    input_scale=input_scale, daq_period_s=daq_period,
+                    dvfs_freq_scale=dvfs, overrides=self.overrides,
+                    hpm_period_s=hpm_period, hpm_rotation=hpm_rotation,
+                    spec_version=self.version,
+                )
+            cells.append(ExperimentConfig(
+                benchmark=bench,
+                vm=vm,
+                platform=platform,
+                collector=collector,
+                heap_mb=heap,
+                seed=seed,
+                input_scale=input_scale,
+                warmup=self.warmup,
+                repetitions=self.repetitions,
+                fan_enabled=self.fan_enabled,
+                n_slices=self.n_slices,
+                daq_period_s=daq_period,
+                dvfs_freq_scale=dvfs,
+                overrides=self.overrides,
+                hpm_period_s=hpm_period,
+                hpm_rotation=hpm_rotation,
+            ))
+        if not cells:
+            raise ConfigurationError(
+                "campaign expands to zero runnable cells (every "
+                "VM/collector combination was unsupported)"
+            )
+        return cells
+
+    def campaign_config(self):
+        """Alias of :meth:`cells`, kept only because the benchmark
+        harness under ``perfbench/`` calls it by this name."""
+        return self.cells()
 
     def experiment_config(self):
         """The spec's single cell as an :class:`ExperimentConfig`.
@@ -547,8 +632,8 @@ class ScenarioSpec:
         if len(cells) != 1:
             raise ConfigurationError(
                 f"spec expands to {len(cells)} cells; "
-                "`experiment_config` needs exactly one (use "
-                "`campaign_config` for matrices)"
+                "`experiment_config` needs exactly one (use `cells` "
+                "for matrices)"
             )
         return cells[0]
 
@@ -642,13 +727,6 @@ MEASUREMENT_CONFIG_FIELDS = (
     "daq_period_s", "hpm_period_s", "hpm_rotation",
 )
 
-#: :class:`ScenarioSpec` axes by phase, for docs and CLI surfacing.
-SIMULATION_AXES = (
-    "benchmarks", "vms", "platforms", "collectors", "heap_mbs",
-    "seeds", "input_scales", "dvfs_freq_scales",
-)
-MEASUREMENT_AXES = ("daq_periods_s", "hpm_periods_s", "hpm_rotations")
-
 
 def canonical_sim_dict(config):
     """Simulation-only subset of :func:`canonical_experiment_dict`.
@@ -689,9 +767,8 @@ def strict_canonical_json(obj, what="config"):
 
 
 __all__ = [
-    "MEASUREMENT_AXES",
     "MEASUREMENT_CONFIG_FIELDS",
-    "SIMULATION_AXES",
+    "SEED_DERIVATION_VERSION",
     "SIMULATION_CONFIG_FIELDS",
     "SPEC_VERSION",
     "ScenarioSpec",
@@ -700,5 +777,6 @@ __all__ = [
     "build_vm",
     "canonical_experiment_dict",
     "canonical_sim_dict",
+    "derive_cell_seed",
     "strict_canonical_json",
 ]

@@ -33,13 +33,13 @@ from repro.analysis.uncertainty import (
     bootstrap_uncertainty,
     derive_replicate_seed,
 )
-from repro.campaign.grid import CampaignConfig
-from repro.campaign.runner import run_campaign
+from repro.campaign.runner import CampaignRunner
 from repro.core.experiment import Experiment, ExperimentConfig
 from repro.errors import ConfigurationError
 from repro.export import result_to_dict
 from repro.jvm.components import Component
 from repro.obs import Observability
+from repro.spec import ScenarioSpec
 
 GOLDEN = Path(__file__).parent.parent / "golden" / \
     "pre_uncertainty_results.json"
@@ -339,21 +339,21 @@ class TestNoiseFreeByteIdentity:
 
 class TestCampaignSharesOneSimulation:
     def test_hpm_sweep_records_once(self, tmp_path):
-        campaign = CampaignConfig(
+        spec = ScenarioSpec(
             benchmarks=("_202_jess",),
             vms=("jikes",),
             platforms=("p6",),
             collectors=("SemiSpace",),
             heap_mbs=(24,),
             seeds=(11,),
-            input_scale=0.1,
+            input_scales=(0.1,),
             n_slices=40,
             hpm_periods_s=(None, 0.002),
             hpm_rotations=(None, "xscale-pairs"),
         )
-        outcome = run_campaign(
-            campaign, artifact_dir=tmp_path / "artifacts"
-        )
+        outcome = CampaignRunner(
+            artifact_dir=tmp_path / "artifacts"
+        ).run(spec.cells())
         summary = outcome.summary
         assert summary.n_cells == 4
         assert summary.n_ok == 4
@@ -364,8 +364,8 @@ class TestCampaignSharesOneSimulation:
         assert summary.n_sim_keys == 1
         # A fresh run against the same store never simulates at all —
         # the group is served by one artifact-store fetch.
-        again = run_campaign(
-            campaign, artifact_dir=tmp_path / "artifacts"
-        ).summary
+        again = CampaignRunner(
+            artifact_dir=tmp_path / "artifacts"
+        ).run(spec.cells()).summary
         assert again.n_simulations == 0
         assert again.n_artifact_hits == 1

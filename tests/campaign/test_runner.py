@@ -5,22 +5,23 @@ import time
 import pytest
 
 from repro import ExperimentConfig
-from repro.campaign import CampaignConfig, CampaignRunner, run_campaign
+from repro.campaign import CampaignRunner, ResultCache
+from repro.spec import ScenarioSpec
 
 # Small but non-trivial: 2 benchmarks x 2 collectors x 2 heaps = 8
 # cells at a reduced input scale so the whole grid simulates in a
 # couple of seconds.
-SMALL = CampaignConfig(
+SMALL = ScenarioSpec(
     benchmarks=("_202_jess", "_209_db"),
     collectors=("SemiSpace", "GenCopy"),
     heap_mbs=(32, 64),
-    input_scale=0.1,
+    input_scales=(0.1,),
 )
 
 
 @pytest.fixture(scope="module")
 def serial_result():
-    return run_campaign(SMALL, workers=1)
+    return CampaignRunner(workers=1).run(SMALL.cells())
 
 
 class TestSerial:
@@ -50,14 +51,14 @@ class TestSerial:
         assert "8 cells" in s.describe()
 
     def test_rerun_is_deterministic(self, serial_result):
-        again = run_campaign(SMALL, workers=1)
+        again = CampaignRunner(workers=1).run(SMALL.cells())
         for a, b in zip(serial_result, again):
             assert a.payload == b.payload
 
 
 class TestParallel:
     def test_parallel_bit_identical_to_serial(self, serial_result):
-        parallel = run_campaign(SMALL, workers=2)
+        parallel = CampaignRunner(workers=2).run(SMALL.cells())
         assert parallel.summary.n_ok == 8
         for a, b in zip(serial_result, parallel):
             assert a.config == b.config
@@ -66,11 +67,15 @@ class TestParallel:
 
 class TestCache:
     def test_rerun_hits_cache_and_is_faster(self, tmp_path):
-        cold = run_campaign(SMALL, workers=1, cache_dir=tmp_path)
+        cold = CampaignRunner(workers=1, cache=ResultCache(tmp_path)).run(
+            SMALL.cells()
+        )
         assert cold.summary.n_cached == 0
 
         t0 = time.perf_counter()
-        warm = run_campaign(SMALL, workers=1, cache_dir=tmp_path)
+        warm = CampaignRunner(workers=1, cache=ResultCache(tmp_path)).run(
+            SMALL.cells()
+        )
         warm_wall = time.perf_counter() - t0
 
         assert warm.summary.cache_hit_rate == 1.0
@@ -81,15 +86,19 @@ class TestCache:
         assert warm_wall * 5 < cold.summary.wall_s
 
     def test_cache_is_config_sensitive(self, tmp_path):
-        run_campaign(SMALL, workers=1, cache_dir=tmp_path)
-        shifted = CampaignConfig(
+        CampaignRunner(workers=1, cache=ResultCache(tmp_path)).run(
+            SMALL.cells()
+        )
+        shifted = ScenarioSpec(
             benchmarks=SMALL.benchmarks,
             collectors=SMALL.collectors,
             heap_mbs=SMALL.heap_mbs,
-            input_scale=SMALL.input_scale,
+            input_scales=SMALL.input_scales,
             seeds=(43,),
         )
-        other = run_campaign(shifted, workers=1, cache_dir=tmp_path)
+        other = CampaignRunner(workers=1, cache=ResultCache(tmp_path)).run(
+            shifted.cells()
+        )
         assert other.summary.n_cached == 0
 
 
@@ -102,7 +111,7 @@ class TestDegradation:
             ExperimentConfig(benchmark="_209_db", heap_mb=32,
                              input_scale=0.1),
         ]
-        result = run_campaign(cells, workers=1, retries=0)
+        result = CampaignRunner(workers=1, retries=0).run(cells)
         assert result.summary.n_ok == 2
         assert result.summary.n_failed == 1
         bad = result.failed_cells()[0]
@@ -120,7 +129,7 @@ class TestDegradation:
             ExperimentConfig(benchmark="_209_db", heap_mb=32,
                              input_scale=0.1),
         ]
-        result = run_campaign(cells, workers=2, retries=1)
+        result = CampaignRunner(workers=2, retries=1).run(cells)
         assert result.summary.n_ok == 2
         bad = result.failed_cells()[0]
         # An unknown benchmark fails the same way every time, so the
@@ -130,7 +139,7 @@ class TestDegradation:
     def test_oom_is_a_successful_outcome(self):
         cells = [ExperimentConfig(benchmark="_213_javac", heap_mb=8,
                                   input_scale=0.1)]
-        result = run_campaign(cells, workers=1)
+        result = CampaignRunner(workers=1).run(cells)
         (cell,) = result.cells
         assert cell.ok
         assert cell.oom
@@ -143,8 +152,8 @@ class TestDegradation:
         # killing the campaign.
         cells = [ExperimentConfig(benchmark="_201_compress",
                                   heap_mb=64)]
-        result = run_campaign(cells, workers=1, retries=0,
-                              timeout_s=1e-3)
+        result = CampaignRunner(workers=1, retries=0,
+                                timeout_s=1e-3).run(cells)
         (bad,) = result.cells
         assert not bad.ok
         assert bad.error_type == "CellTimeoutError"
@@ -154,17 +163,18 @@ class TestDegradation:
     def test_timed_out_cell_is_retried(self, workers):
         cells = [ExperimentConfig(benchmark="_201_compress",
                                   heap_mb=64)]
-        result = run_campaign(cells, workers=workers, retries=1,
-                              timeout_s=1e-3)
+        result = CampaignRunner(workers=workers, retries=1,
+                                timeout_s=1e-3).run(cells)
         (bad,) = result.cells
         assert bad.error_type == "CellTimeoutError"
         assert bad.attempts == 2  # original try + one retry
 
     def test_failed_cells_never_cached(self, tmp_path):
         cells = [ExperimentConfig(benchmark="no_such_benchmark")]
-        run_campaign(cells, workers=1, retries=0, cache_dir=tmp_path)
-        rerun = run_campaign(cells, workers=1, retries=0,
-                             cache_dir=tmp_path)
+        CampaignRunner(workers=1, retries=0,
+                       cache=ResultCache(tmp_path)).run(cells)
+        rerun = CampaignRunner(workers=1, retries=0,
+                               cache=ResultCache(tmp_path)).run(cells)
         assert rerun.summary.n_cached == 0
         assert rerun.summary.n_failed == 1
 
@@ -184,13 +194,12 @@ class TestValidation:
 
     def test_progress_callback_sees_every_cell(self):
         seen = []
-        run_campaign(
-            [ExperimentConfig(benchmark="_202_jess", heap_mb=32,
-                              input_scale=0.1)],
+        CampaignRunner(
             workers=1,
             progress=lambda i, total, cell: seen.append((i, total,
                                                          cell.ok)),
-        )
+        ).run([ExperimentConfig(benchmark="_202_jess", heap_mb=32,
+                                input_scale=0.1)])
         assert seen == [(0, 1, True)]
 
     def test_report_round_trips_through_json(self, serial_result):

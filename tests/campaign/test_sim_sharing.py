@@ -7,25 +7,26 @@ payload must be byte-identical to the fused single-cell path.
 
 import pytest
 
-from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign import CampaignRunner
 from repro.campaign.runner import _execute_cell
+from repro.spec import ScenarioSpec
 
 # 4 measurement points over one simulation identity.
-SWEEP = CampaignConfig(
+SWEEP = ScenarioSpec(
     benchmarks=("_202_jess",),
     collectors=("SemiSpace",),
     heap_mbs=(24,),
-    input_scale=0.1,
+    input_scales=(0.1,),
     n_slices=40,
     daq_periods_s=(40e-6, 200e-6, 1e-3, 1e-2),
 )
 
 # Two sim identities x two measurement points.
-MIXED = CampaignConfig(
+MIXED = ScenarioSpec(
     benchmarks=("_202_jess",),
     collectors=("SemiSpace", "GenCopy"),
     heap_mbs=(24,),
-    input_scale=0.1,
+    input_scales=(0.1,),
     n_slices=40,
     daq_periods_s=(40e-6, 1e-3),
 )
@@ -33,7 +34,7 @@ MIXED = CampaignConfig(
 
 @pytest.fixture(scope="module")
 def sweep_result():
-    return run_campaign(SWEEP, workers=1)
+    return CampaignRunner(workers=1).run(SWEEP.cells())
 
 
 class TestSweepSharesOneSimulation:
@@ -70,7 +71,7 @@ class TestSweepSharesOneSimulation:
             sweep_result.summary.describe()
 
     def test_parallel_matches_serial(self, sweep_result):
-        parallel = run_campaign(SWEEP, workers=2)
+        parallel = CampaignRunner(workers=2).run(SWEEP.cells())
         assert parallel.summary.n_simulations == 1
         for a, b in zip(sweep_result, parallel):
             assert a.payload == b.payload
@@ -79,10 +80,14 @@ class TestSweepSharesOneSimulation:
 class TestArtifactStoreAcrossRuns:
     def test_second_run_simulates_nothing(self, tmp_path):
         art = tmp_path / "artifacts"
-        first = run_campaign(SWEEP, workers=1, artifact_dir=art)
+        first = CampaignRunner(workers=1, artifact_dir=art).run(
+            SWEEP.cells()
+        )
         assert first.summary.n_simulations == 1
         assert first.summary.n_artifact_hits == 0
-        second = run_campaign(SWEEP, workers=1, artifact_dir=art)
+        second = CampaignRunner(workers=1, artifact_dir=art).run(
+            SWEEP.cells()
+        )
         assert second.summary.n_simulations == 0
         assert second.summary.n_artifact_hits == 1
         for a, b in zip(first, second):
@@ -92,13 +97,13 @@ class TestArtifactStoreAcrossRuns:
         from repro.campaign.artifacts import ArtifactStore
 
         art = tmp_path / "artifacts"
-        run_campaign(MIXED, workers=1, artifact_dir=art)
+        CampaignRunner(workers=1, artifact_dir=art).run(MIXED.cells())
         assert len(ArtifactStore(art)) == 2
 
 
 class TestMixedGrid:
     def test_two_keys_two_simulations(self):
-        result = run_campaign(MIXED, workers=1)
+        result = CampaignRunner(workers=1).run(MIXED.cells())
         s = result.summary
         assert len(result) == 4
         assert s.n_simulations == 2

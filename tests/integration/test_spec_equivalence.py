@@ -74,4 +74,4 @@ def test_single_cell_spec_equals_one_cell_campaign():
     campaign expansion, so run/campaign agree on what a cell is."""
     spec = ScenarioSpec.for_experiment("_202_jess", heap_mb=32,
                                        input_scale=0.2)
-    assert spec.campaign_config().cells() == [spec.experiment_config()]
+    assert spec.cells() == [spec.experiment_config()]

@@ -173,17 +173,18 @@ class TestCampaignObservability:
         assert obs.metrics.histogram("campaign.cell_wall_s").count == 2
 
     def test_cache_hit_miss_counters(self, tmp_path):
+        from repro.campaign.cache import ResultCache
         from repro.campaign.runner import CampaignRunner
 
         cells = self.cells()
         cache_dir = tmp_path / "cache"
         first = Observability.create(trace=False, metrics=True)
-        CampaignRunner(cache_dir=cache_dir, obs=first).run(cells)
+        CampaignRunner(cache=ResultCache(cache_dir), obs=first).run(cells)
         assert first.metrics.counter("campaign.cache_misses").value == 2
         assert first.metrics.counter("campaign.cache_hits").value == 0
 
         second = Observability.create(trace=False, metrics=True)
-        result = CampaignRunner(cache_dir=cache_dir,
+        result = CampaignRunner(cache=ResultCache(cache_dir),
                                 obs=second).run(cells)
         assert second.metrics.counter("campaign.cache_hits").value == 2
         assert result.summary.n_cached == 2

@@ -90,6 +90,15 @@ class TestRoutes:
         (problem,) = excinfo.value.body["problems"]
         assert "6 MB reservation" in problem
 
+    def test_sentinel_on_numeric_axis_400(self, client):
+        body = json.dumps({"benchmark": "_202_jess", "seed": "none"})
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit_bytes(body, fmt="json")
+        assert excinfo.value.status == 400
+        assert excinfo.value.body["problems"] == [
+            "seeds has a malformed value in ('none',)"
+        ]
+
     def test_submit_poll_fetch_cycle(self, client):
         job = client.submit_bytes(SPEC_TOML, fmt="toml")
         assert job["outcome"] in ("queued", "cached")

@@ -267,7 +267,7 @@ class TestProcessMode:
             assert counters_of(service)["serve.jobs_executed"] == 1
         finally:
             service.drain(10.0)
-        direct = CampaignRunner(workers=1).run(spec.campaign_config())
+        direct = CampaignRunner(workers=1).run(spec.cells())
         assert served == encode_result(
             build_result_payload(spec, direct)
         )

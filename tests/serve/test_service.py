@@ -37,8 +37,7 @@ def tiny_spec(**kw):
     return ScenarioSpec.for_experiment("_202_jess", **kw)
 
 
-def fake_result(campaign_config):
-    cells = campaign_config.cells()
+def fake_result(cells):
     results = [
         CellResult(config=config, ok=True, attempts=1, wall_s=0.01,
                    payload={"schema": "repro-cell-v1", "cell": i})
@@ -55,18 +54,18 @@ class GatedRunner:
     """Stands in for CampaignRunner; blocks until the gate opens."""
 
     gate = None       # threading.Event, set per test
-    started = None    # list of campaign configs seen
+    started = None    # list of cell lists seen
     fail = False
 
     def __init__(self, **kwargs):
         self.kwargs = kwargs
 
-    def run(self, campaign):
-        GatedRunner.started.append(campaign)
+    def run(self, cells):
+        GatedRunner.started.append(cells)
         assert GatedRunner.gate.wait(10.0), "gate never opened"
         if GatedRunner.fail:
             raise RuntimeError("injected job failure")
-        return fake_result(campaign)
+        return fake_result(cells)
 
 
 @pytest.fixture
@@ -297,6 +296,6 @@ class TestRealExecutionDeterminism:
             served = service.results.get_bytes(job.id)
         finally:
             service.drain(10.0)
-        direct = CampaignRunner(workers=1).run(spec.campaign_config())
+        direct = CampaignRunner(workers=1).run(spec.cells())
         expected = encode_result(build_result_payload(spec, direct))
         assert served == expected

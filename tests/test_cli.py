@@ -250,7 +250,7 @@ class TestReplayCommand:
             "_202_jess", collector="SemiSpace", heap_mb=32,
             input_scale=0.2,
         )
-        result = CampaignRunner(workers=1).run(spec.campaign_config())
+        result = CampaignRunner(workers=1).run(spec.cells())
         data = encode_result(build_result_payload(spec, result))
         key = spec.spec_hash()
         ResultStore(tmp_path).put_bytes(

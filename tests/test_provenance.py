@@ -40,7 +40,7 @@ class TestCodeDigest:
     def test_stamp_carries_engine_identity(self):
         from repro import __version__
         from repro.campaign.cache import CACHE_VERSION
-        from repro.campaign.grid import SEED_DERIVATION_VERSION
+        from repro.spec import SEED_DERIVATION_VERSION
 
         stamp = current_stamp()
         assert stamp["code_digest"] == code_digest()

@@ -146,7 +146,7 @@ class TestComponentRegistries:
 
     def test_plugin_vm_round_trip(self):
         """Third-party registration makes a VM a full citizen."""
-        from repro.campaign.grid import collector_supported
+        from repro.registry import collector_supported
 
         registry.register_vm(
             "test-plugin-vm", object, collectors=("SemiSpace",),

@@ -7,10 +7,13 @@ from dataclasses import asdict
 import pytest
 
 from repro.campaign.cache import CACHE_VERSION, config_key
-from repro.campaign.grid import derive_cell_seed
 from repro.core.experiment import ExperimentConfig
 from repro.errors import ConfigurationError
-from repro.spec import ScenarioSpec, canonical_experiment_dict
+from repro.spec import (
+    ScenarioSpec,
+    canonical_experiment_dict,
+    derive_cell_seed,
+)
 
 
 class TestConstruction:
@@ -19,7 +22,7 @@ class TestConstruction:
             "_202_jess", collector="SemiSpace", heap_mb=32,
             input_scale=0.2,
         )
-        assert spec.is_single_cell
+        assert len(spec.cells()) == 1
         config = spec.experiment_config()
         assert config == ExperimentConfig(
             benchmark="_202_jess", collector="SemiSpace", heap_mb=32,
@@ -40,6 +43,12 @@ class TestConstruction:
         )
         assert spec.collectors == (None,)
         assert spec.dvfs_freq_scales == (None,)
+
+    def test_non_number_dvfs_point_is_malformed(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"dvfs_freq_scales has a malformed"):
+            ScenarioSpec(benchmarks=("_202_jess",),
+                         dvfs_freq_scales=("fast",))
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigurationError, match="empty"):
@@ -80,7 +89,7 @@ class TestFromDict:
         })
         assert spec.benchmarks == ("_202_jess",)
         assert spec.vms == ("kaffe",)
-        assert spec.is_single_cell
+        assert len(spec.cells()) == 1
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="benchmerks"):
@@ -263,12 +272,23 @@ class TestGridIntegration:
         }
 
     def test_spec_version_flows_to_campaign(self):
-        assert ScenarioSpec(
-            benchmarks=("_202_jess",)
-        ).campaign_config().spec_version == 2
-        assert ScenarioSpec(
-            benchmarks=("_202_jess",), version=1
-        ).campaign_config().spec_version == 1
+        for version in (1, 2):
+            (cell,) = ScenarioSpec(
+                benchmarks=("_202_jess",), input_scales=(0.2,),
+                derive_seeds=True, version=version,
+            ).cells()
+            assert cell.seed == derive_cell_seed(
+                42, "_202_jess", "jikes", "p6", None, 64,
+                input_scale=0.2, spec_version=version,
+            )
+        # The two derivations differ: v2 hashes the input scale.
+        assert derive_cell_seed(
+            42, "_202_jess", "jikes", "p6", None, 64,
+            input_scale=0.2, spec_version=1,
+        ) != derive_cell_seed(
+            42, "_202_jess", "jikes", "p6", None, 64,
+            input_scale=0.2, spec_version=2,
+        )
 
 
 class TestSeedDerivation:
@@ -471,3 +491,22 @@ class TestCollectAndReport:
         captured = capsys.readouterr()
         assert "ok" not in captured.out
         assert f"{bad}: INVALID vm 'jikes': heap of 4 MB" in captured.err
+
+    def test_cli_spec_validate_rejects_sentinel_on_numeric_axis(
+            self, tmp_path, capsys):
+        # "default"/"none" mean something only on the collector, DVFS
+        # and HPM axes; on a numeric axis they are malformed values.
+        from repro.cli import main
+
+        bad = tmp_path / "sentinels.toml"
+        bad.write_text(
+            '[axes]\nbenchmark = "_202_jess"\nheap_mb = "none"\n'
+            'daq_period_s = "default"\ninput_scale = "default"\n'
+        )
+        assert main(["spec", "validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        for axis, value in (("heap_mbs", "none"),
+                            ("daq_periods_s", "default"),
+                            ("input_scales", "default")):
+            assert (f"{bad}: INVALID {axis} has a malformed value in "
+                    f"('{value}',)") in err
